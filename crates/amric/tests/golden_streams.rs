@@ -12,10 +12,12 @@ use amr_mesh::geom::IntVect;
 use amric::codec::{AmricCodec, BaselineCodec, TacCodec, ZmeshCodec};
 use amric::prelude::*;
 use std::path::PathBuf;
+use std::sync::Arc;
 use sz_codec::codec::Codec;
 use sz_codec::interp::InterpCodec;
 use sz_codec::lr::LrCodec;
 use sz_codec::prelude::*;
+use sz_codec::temporal::{TemporalCodec, TemporalConfig, TemporalReference};
 
 /// Deterministic LCG in [-0.5, 0.5).
 fn lcg(state: &mut u64) -> f64 {
@@ -63,6 +65,15 @@ fn golden_dir() -> PathBuf {
 /// blessing), then prove the stream still round-trips through
 /// `decompress_auto` within the error bound.
 fn check(name: &str, bytes: &[u8], orig: &[Buffer3], abs_eb: f64) {
+    assert_golden(name, bytes);
+    // Sanity: the pinned stream is decodable and within bound.
+    let back = decompress_auto(bytes).expect("golden stream decodes");
+    assert_within_bound(name, orig, &back, abs_eb);
+}
+
+/// Byte-compare `bytes` against `tests/golden/{name}.bin` (rewriting the
+/// file first when blessing).
+fn assert_golden(name: &str, bytes: &[u8]) {
     let path = golden_dir().join(format!("{name}.bin"));
     if std::env::var("AMRIC_GOLDEN_BLESS").is_ok() {
         std::fs::create_dir_all(golden_dir()).expect("mkdir golden");
@@ -85,10 +96,11 @@ fn check(name: &str, bytes: &[u8], orig: &[Buffer3], abs_eb: f64) {
             .unwrap_or(0);
         panic!("{name}: stream bytes diverge from golden at offset {first_diff}");
     }
-    // Sanity: the pinned stream is decodable and within bound.
-    let back = decompress_auto(bytes).expect("golden stream decodes");
+}
+
+fn assert_within_bound(name: &str, orig: &[Buffer3], back: &[Buffer3], abs_eb: f64) {
     assert_eq!(back.len(), orig.len(), "{name}: unit count");
-    for (o, b) in orig.iter().zip(&back) {
+    for (o, b) in orig.iter().zip(back) {
         assert_eq!(o.dims(), b.dims(), "{name}: dims");
         let s = ErrorStats::compare(o.data(), b.data());
         assert!(
@@ -198,4 +210,62 @@ fn golden_empty_streams() {
     check("interp_empty", &compress_with(&interp, &[]), &[], abs);
     let pipe = AmricCodec::with_bound(AmricConfig::lr(1e-3), 8, abs);
     check("pipeline_empty", &compress_with(&pipe, &[]), &[], abs);
+}
+
+/// One snapshot of a slowly advecting series: a smooth field shifted by
+/// `t`, plus per-cell grain that is constant in time (so deltas see only
+/// the advection). `spikes` adds jumps of 1e3 at a sparse, step-dependent
+/// cell set — far past the quantizer radius at the 1e-3 bound, so the
+/// delta pass takes its outlier path.
+fn series_snapshot(n: usize, dims: Dims3, t: f64, spikes: bool) -> Vec<Buffer3> {
+    let mut state = 0x7E57;
+    (0..n)
+        .map(|u| {
+            let mut b = Buffer3::zeros(dims);
+            b.fill_with(|i, j, k| {
+                let (x, y, z) = (i as f64 * 0.3, j as f64 * 0.25, k as f64 * 0.2);
+                let jump = spikes && (i * 7 + j * 3 + k + u) % 131 == 0;
+                (x + t).sin() * (y - t).cos()
+                    + 0.5 * (z + 2.0 * t).sin()
+                    + 0.01 * lcg(&mut state)
+                    + u as f64 * 0.25
+                    + if jump { 1e3 } else { 0.0 }
+            });
+            b
+        })
+        .collect()
+}
+
+#[test]
+fn golden_temporal_series() {
+    // A keyframe (all units spatial), then the next snapshot coded twice
+    // against the keyframe's retained state: once with half the units
+    // regridded away (mixed spatial/delta) and once fully mapped.
+    let abs = 1e-3;
+    let cfg = TemporalConfig::new(abs);
+    let dims = Dims3::new(9, 8, 7);
+    let key = series_snapshot(4, dims, 0.0, false);
+    let mut bytes = Vec::new();
+    let (_, state) = TemporalCodec::spatial(cfg)
+        .compress_with_state(&key, &mut bytes)
+        .expect("keyframe encode");
+    assert_golden("temporal_keyframe", &bytes);
+    let back = TemporalCodec::decoder().decompress(&bytes).expect("decode");
+    assert_within_bound("temporal_keyframe", &key, &back, abs);
+
+    let reference = Arc::new(TemporalReference::new(1, state));
+    let next = series_snapshot(4, dims, 0.02, true);
+    let cases: [(&str, Vec<Option<u32>>); 2] = [
+        ("temporal_mixed", vec![Some(0), None, Some(2), None]),
+        ("temporal_delta", (0..4).map(Some).collect()),
+    ];
+    for (name, refs) in cases {
+        let codec = TemporalCodec::with_reference(cfg, reference.clone(), refs);
+        let bytes = compress_with(&codec, &next);
+        assert_golden(name, &bytes);
+        let back = TemporalCodec::decoder_with(reference.clone())
+            .decompress(&bytes)
+            .expect("delta stream decodes with its reference");
+        assert_within_bound(name, &next, &back, abs);
+    }
 }
