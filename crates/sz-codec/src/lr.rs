@@ -160,6 +160,29 @@ pub fn compress_domains_pooled(domains: &[&Buffer3], cfg: &LrConfig, out: &mut V
     LR_POOL.with(|s| compress_domains_into(domains, cfg, &mut s.borrow_mut(), out));
 }
 
+/// Like [`compress_domains_pooled`] but also returns every domain's
+/// reconstruction, in input order — bit for bit what
+/// [`decompress_domains`] yields for the appended stream. The encoder
+/// builds these buffers anyway (Lorenzo predicts from them), so callers
+/// that must retain the decoded state, such as the temporal codec's
+/// spatial fallback, get it without a decode pass.
+pub fn compress_domains_pooled_with_recon(
+    domains: &[&Buffer3],
+    cfg: &LrConfig,
+    out: &mut Vec<u8>,
+) -> Vec<Buffer3> {
+    let mut recon = Vec::with_capacity(domains.len());
+    LR_POOL.with(|s| encode_domains(domains, cfg, &mut s.borrow_mut(), out, Some(&mut recon)));
+    recon
+}
+
+/// Predictor selection of this thread's last pooled encode (`true` =
+/// regression block), for tests that must see both block kinds.
+#[cfg(test)]
+pub(crate) fn pooled_selection() -> Vec<bool> {
+    LR_POOL.with(|s| s.borrow().streams.selection.clone())
+}
+
 /// Compress a set of prediction domains with one shared encoding (SLE),
 /// **appending** the stream to `out` and reusing `scratch` across calls —
 /// the zero-alloc variant of [`compress_domains`].
@@ -168,6 +191,18 @@ pub fn compress_domains_into(
     cfg: &LrConfig,
     scratch: &mut LrScratch,
     out: &mut Vec<u8>,
+) {
+    encode_domains(domains, cfg, scratch, out, None)
+}
+
+/// The one SZ_L/R encode driver; pushes each domain's reconstruction to
+/// `recon` when given, drops it otherwise.
+fn encode_domains(
+    domains: &[&Buffer3],
+    cfg: &LrConfig,
+    scratch: &mut LrScratch,
+    out: &mut Vec<u8>,
+    mut recon: Option<&mut Vec<Buffer3>>,
 ) {
     assert!(!domains.is_empty(), "no domains to compress");
     assert!(
@@ -178,7 +213,10 @@ pub fn compress_domains_into(
     let mut coeff_codec = CoefficientCodec::new(cfg.abs_eb, cfg.block_size);
     let q = Quantizer::new(cfg.abs_eb);
     for domain in domains {
-        compress_one_domain(domain, cfg, &q, &mut coeff_codec, &mut scratch.streams);
+        let r = compress_one_domain(domain, cfg, &q, &mut coeff_codec, &mut scratch.streams);
+        if let Some(recon) = recon.as_deref_mut() {
+            recon.push(r);
+        }
     }
     encode_container(domains, cfg, scratch, out)
 }
@@ -335,13 +373,15 @@ fn blocks_of(dims: Dims3, bs: usize) -> Vec<((usize, usize, usize), Dims3)> {
     out
 }
 
+/// Predict and quantize one domain into `s`; returns the domain's
+/// reconstruction (the values the decoder will produce).
 fn compress_one_domain(
     data: &Buffer3,
     cfg: &LrConfig,
     q: &Quantizer,
     coeff_codec: &mut CoefficientCodec,
     s: &mut Streams,
-) {
+) -> Buffer3 {
     let dims = data.dims();
     let plane = dims.nx * dims.ny;
     let mut recon = Buffer3::zeros(dims);
@@ -440,6 +480,7 @@ fn compress_one_domain(
             }
         }
     }
+    recon
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -270,8 +270,8 @@ impl TemporalCodec {
         let mut delta_syms: Vec<u32> = Vec::new();
         let mut delta_outliers: Vec<f64> = Vec::new();
         let mut spatial_units: Vec<&Buffer3> = Vec::new();
-        // Decoded state in unit order (filled lazily for spatial units
-        // after the embedded stream exists).
+        // Decoded state in unit order (spatial units are filled from the
+        // spatial encoder's reconstructions below).
         let mut decoded: Vec<Option<Buffer3>> = Vec::with_capacity(units.len());
         for (u, m) in units.iter().zip(&refs) {
             match m {
@@ -312,29 +312,27 @@ impl TemporalCodec {
                 }
             }
         }
-        let spatial_stream = if spatial_units.is_empty() {
+        // The spatial encoder hands back its reconstructions, which are
+        // exactly what the decoder rebuilds from the embedded stream.
+        let mut spatial_stream = Vec::new();
+        let spatial_recon = if spatial_units.is_empty() {
             Vec::new()
         } else {
-            lr::compress_domains(&spatial_units, &self.cfg.spatial())
+            lr::compress_domains_pooled_with_recon(
+                &spatial_units,
+                &self.cfg.spatial(),
+                &mut spatial_stream,
+            )
         };
         if let Some(state) = state {
-            // Spatial units reconstruct through the embedded stream —
-            // decode what was just written so retained state is exactly
-            // what any reader will see.
-            let mut spatial_decoded = if spatial_stream.is_empty() {
-                Vec::new()
-            } else {
-                lr::decompress_domains(&spatial_stream)?
-            }
-            .into_iter();
-            for d in decoded {
-                state.push(match d {
-                    Some(b) => b,
-                    None => spatial_decoded.next().ok_or_else(|| {
-                        CodecError::corrupt("embedded spatial stream lost a unit")
-                    })?,
-                });
-            }
+            let mut spatial_recon = spatial_recon.into_iter();
+            state.extend(decoded.into_iter().map(|d| {
+                d.unwrap_or_else(|| {
+                    spatial_recon
+                        .next()
+                        .expect("one reconstruction per spatial unit")
+                })
+            }));
         }
 
         // Assemble the payload, envelope it, lossless-wrap it.
@@ -696,22 +694,129 @@ mod tests {
         );
     }
 
+    fn assert_bitwise(case: &str, a: &[Buffer3], b: &[Buffer3]) {
+        assert_eq!(a.len(), b.len(), "{case}: unit count");
+        for (u, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.dims(), y.dims(), "{case}: unit {u} dims");
+            for (c, (p, q)) in x.data().iter().zip(y.data()).enumerate() {
+                assert_eq!(p.to_bits(), q.to_bits(), "{case}: unit {u} cell {c}");
+            }
+        }
+    }
+
+    /// Units of mixed shapes with values alternating between ±1e300 and a
+    /// smooth ramp: at a 1e-9 bound nearly every cell is an outlier.
+    fn extreme(dims: &[Dims3], flip: f64) -> Vec<Buffer3> {
+        dims.iter()
+            .map(|&d| {
+                let mut b = Buffer3::zeros(d);
+                b.fill_with(|i, j, k| match (i + 2 * j + 3 * k) % 5 {
+                    0 => flip * 1e300,
+                    1 => -flip * 1e300,
+                    _ => (i + j + k) as f64 * 0.1 + flip,
+                });
+                b
+            })
+            .collect()
+    }
+
     #[test]
     fn state_matches_decoder_output_bitwise() {
-        let prev = snapshot(9, 0.0);
-        let next = snapshot(9, 0.03);
-        let reference = Arc::new(TemporalReference::new(1, prev));
-        let refs = vec![Some(0), None, Some(2), Some(3)];
-        let codec = TemporalCodec::with_reference(TemporalConfig::new(1e-3), reference, refs);
-        let mut stream = Vec::new();
-        let (_, state) = codec.compress_with_state(&next, &mut stream).unwrap();
-        let back = codec.decompress(&stream).unwrap();
-        assert_eq!(state.len(), back.len());
-        for (s, b) in state.iter().zip(&back) {
-            assert_eq!(s.dims(), b.dims());
-            for (x, y) in s.data().iter().zip(b.data()) {
-                assert_eq!(x.to_bits(), y.to_bits());
+        // The state the encoder hands back must be what a reader decodes:
+        // it becomes the next snapshot's prediction base.
+        let ragged = [
+            Dims3::new(9, 4, 7),
+            Dims3::new(5, 11, 3),
+            Dims3::new(1, 1, 1),
+            Dims3::new(13, 2, 6),
+        ];
+        let ragged_prev = |t: f64| -> Vec<Buffer3> {
+            ragged
+                .iter()
+                .enumerate()
+                .map(|(u, &d)| {
+                    let mut b = Buffer3::zeros(d);
+                    b.fill_with(|i, j, k| {
+                        (0.7 * i as f64 + t).sin() + 0.3 * (j * k) as f64 + 0.05 * grain(i, j, k)
+                            - u as f64
+                    });
+                    b
+                })
+                .collect()
+        };
+        // (case, eb, reference units, next units, unit mapping)
+        type Case = (
+            &'static str,
+            f64,
+            Vec<Buffer3>,
+            Vec<Buffer3>,
+            Vec<Option<u32>>,
+        );
+        let cases: Vec<Case> = vec![
+            (
+                "all-spatial",
+                1e-3,
+                Vec::new(),
+                snapshot(9, 0.03),
+                Vec::new(),
+            ),
+            (
+                "all-delta",
+                1e-3,
+                snapshot(9, 0.0),
+                snapshot(9, 0.03),
+                all_delta(4),
+            ),
+            (
+                "mixed",
+                1e-3,
+                snapshot(9, 0.0),
+                snapshot(9, 0.03),
+                vec![Some(0), None, Some(2), Some(3)],
+            ),
+            (
+                "ragged",
+                1e-4,
+                ragged_prev(0.0),
+                ragged_prev(0.05),
+                vec![Some(0), None, Some(2), Some(3)],
+            ),
+            (
+                "outlier-heavy",
+                1e-9,
+                extreme(&ragged, 1.0),
+                extreme(&ragged, -1.0),
+                vec![Some(0), Some(1), None, Some(3)],
+            ),
+        ];
+        for (case, eb, prev, next, refs) in cases {
+            for bs in [4, 6] {
+                let cfg = TemporalConfig::new(eb).with_block_size(bs);
+                let reference = Arc::new(TemporalReference::new(1, prev.clone()));
+                let codec = TemporalCodec::with_reference(cfg, reference, refs.clone());
+                let mut stream = Vec::new();
+                let (_, state) = codec.compress_with_state(&next, &mut stream).unwrap();
+                let back = codec.decompress(&stream).unwrap();
+                assert_bitwise(&format!("{case}, block size {bs}"), &state, &back);
             }
+        }
+
+        // LR level: the spatial encoder's reconstruction equals a decode
+        // of its own stream, on regression and Lorenzo blocks alike.
+        let mut units = snapshot(12, 0.0);
+        units.extend(extreme(&ragged, 1.0));
+        let refs: Vec<&Buffer3> = units.iter().collect();
+        for bs in [4, 6] {
+            let cfg = LrConfig::new(1e-4).with_block_size(bs);
+            let mut stream = Vec::new();
+            let recon = lr::compress_domains_pooled_with_recon(&refs, &cfg, &mut stream);
+            let selection = lr::pooled_selection();
+            assert!(
+                selection.contains(&true) && selection.contains(&false),
+                "block size {bs}: both predictors must be exercised"
+            );
+            let back = lr::decompress_domains(&stream).unwrap();
+            assert_bitwise(&format!("LR, block size {bs}"), &recon, &back);
         }
     }
 
