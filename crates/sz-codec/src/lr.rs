@@ -70,62 +70,82 @@ const MAX_BLOCK_EDGE: usize = 256;
 #[derive(Default)]
 struct Streams {
     selection: Vec<bool>,
-    data_syms: Vec<u32>,
-    data_outliers: Vec<f64>,
+    data: SymbolStream,
     coeff_syms: Vec<u32>,
     coeff_outliers: Vec<f64>,
-    /// Fused data-symbol histogram, filled while quantizing (dense over
-    /// the `2·QUANT_RADIUS` symbol space) so the entropy stage skips its
-    /// counting pass. `freq_touched` tracks the nonzero entries so reset
-    /// is O(distinct symbols), not O(65536).
-    data_freq: Vec<u64>,
-    freq_touched: Vec<u32>,
 }
 
 impl Streams {
     fn clear(&mut self) {
         self.selection.clear();
-        self.data_syms.clear();
-        self.data_outliers.clear();
+        self.data.clear();
         self.coeff_syms.clear();
         self.coeff_outliers.clear();
-        for &t in &self.freq_touched {
-            self.data_freq[t as usize] = 0;
+    }
+}
+
+/// One quantization-symbol stream with its outlier values and a fused
+/// histogram, filled while quantizing (dense over the `2·QUANT_RADIUS`
+/// symbol space) so the entropy stage skips its counting pass. `touched`
+/// tracks the nonzero entries so reset is O(distinct symbols), not
+/// O(65536). Shared by the SZ_L/R data stream and the temporal delta
+/// stream, which serialize identically.
+#[derive(Default)]
+pub(crate) struct SymbolStream {
+    syms: Vec<u32>,
+    outliers: Vec<f64>,
+    freq: Vec<u64>,
+    touched: Vec<u32>,
+}
+
+impl SymbolStream {
+    /// Empty the stream (sizing the histogram on first use).
+    pub(crate) fn clear(&mut self) {
+        self.syms.clear();
+        self.outliers.clear();
+        for &t in &self.touched {
+            self.freq[t as usize] = 0;
         }
-        self.freq_touched.clear();
-        self.data_freq.resize(2 * QUANT_RADIUS as usize, 0);
+        self.touched.clear();
+        self.freq.resize(2 * QUANT_RADIUS as usize, 0);
     }
 
-    /// Drain one kernel-produced symbol row into the streams: push raw
-    /// values for outlier symbols (row order — the order the scalar path
-    /// interleaved them), update the fused histogram, and append the
+    /// Drain one kernel-produced symbol row into the stream: push the raw
+    /// value of every outlier symbol (row order — the order the scalar
+    /// path interleaved them), update the histogram, and append the
     /// symbols. The unpredictable-outlier branch lives here, outside the
     /// lane loops.
     #[inline]
-    fn drain_row(&mut self, vals: &[f64], syms: &[u32]) {
+    pub(crate) fn drain_row(&mut self, vals: &[f64], syms: &[u32]) {
         for (x, &sym) in syms.iter().enumerate() {
             if sym == OUTLIER_SYMBOL {
-                self.data_outliers.push(vals[x]);
+                self.outliers.push(vals[x]);
             }
-            let f = &mut self.data_freq[sym as usize];
+            let f = &mut self.freq[sym as usize];
             if *f == 0 {
-                self.freq_touched.push(sym);
+                self.touched.push(sym);
             }
             *f += 1;
         }
-        self.data_syms.extend_from_slice(syms);
+        self.syms.extend_from_slice(syms);
     }
 
-    /// The sparse `(symbol, count)` histogram of `data_syms`, equal to
-    /// `huffman::count_frequencies(&self.data_syms)`.
-    fn data_freqs(&self) -> Vec<(u32, u64)> {
-        let mut v: Vec<(u32, u64)> = self
-            .freq_touched
+    /// Append the Huffman block of the symbols, then the `u64` outlier
+    /// count and the raw outlier values — byte-identical to
+    /// `huffman::encode_block_into` over the symbols plus the outliers.
+    pub(crate) fn write(&self, w: &mut Writer) {
+        // The sparse (symbol, count) form `count_frequencies` returns.
+        let mut freqs: Vec<(u32, u64)> = self
+            .touched
             .iter()
-            .map(|&s| (s, self.data_freq[s as usize]))
+            .map(|&s| (s, self.freq[s as usize]))
             .collect();
-        v.sort_unstable_by_key(|&(s, _)| s);
-        v
+        freqs.sort_unstable_by_key(|&(s, _)| s);
+        huffman::encode_block_with_histogram_into(&self.syms, &freqs, w);
+        w.put_u64(self.outliers.len() as u64);
+        for &v in &self.outliers {
+            w.put_f64(v);
+        }
     }
 }
 
@@ -418,7 +438,7 @@ fn compress_one_domain(
                         &mut syms_row[..bd.nx],
                         &mut recon.data_mut()[base..base + bd.nx],
                     );
-                    s.drain_row(vals, &syms_row[..bd.nx]);
+                    s.data.drain_row(vals, &syms_row[..bd.nx]);
                 }
             }
         } else {
@@ -475,7 +495,7 @@ fn compress_one_domain(
                         &mut syms_row[..bd.nx],
                         &mut tail[..bd.nx],
                     );
-                    s.drain_row(vals, &syms_row[..bd.nx]);
+                    s.data.drain_row(vals, &syms_row[..bd.nx]);
                 }
             }
         }
@@ -571,11 +591,7 @@ fn encode_container(
     // Fused pass: the histogram was accumulated during quantization, so
     // the entropy stage emits straight into the payload writer with no
     // counting pass and no intermediate encoded buffer.
-    huffman::encode_block_with_histogram_into(&s.data_syms, &s.data_freqs(), &mut w);
-    w.put_u64(s.data_outliers.len() as u64);
-    for &v in &s.data_outliers {
-        w.put_f64(v);
-    }
+    s.data.write(&mut w);
     scratch.payload = w.into_bytes();
     let mut env = Writer::from_vec(std::mem::take(out));
     write_envelope(&mut env, CodecId::LrSle, VERSION, 0);

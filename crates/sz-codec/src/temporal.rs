@@ -50,9 +50,10 @@ use crate::codec::{
     FLAG_REFERENCED,
 };
 use crate::huffman;
+use crate::kernels;
 use crate::lorenzo::lorenzo3;
 use crate::lossless;
-use crate::lr::{self, LrConfig};
+use crate::lr::{self, LrConfig, SymbolStream};
 use crate::quantizer::{Quantizer, OUTLIER_SYMBOL};
 use crate::wire::{CodecError, CodecResult, Reader, Writer};
 use std::sync::Arc;
@@ -267,8 +268,8 @@ impl TemporalCodec {
 
         // Quantize the delta units; collect the spatial fallbacks.
         let q = Quantizer::new(self.cfg.abs_eb);
-        let mut delta_syms: Vec<u32> = Vec::new();
-        let mut delta_outliers: Vec<f64> = Vec::new();
+        let mut delta = SymbolStream::default();
+        delta.clear();
         let mut spatial_units: Vec<&Buffer3> = Vec::new();
         // Decoded state in unit order (spatial units are filled from the
         // spatial encoder's reconstructions below).
@@ -277,34 +278,7 @@ impl TemporalCodec {
             match m {
                 Some(t) => {
                     let prev = &reference.expect("checked above").units[*t as usize];
-                    let d = u.dims();
-                    // Residual field r = val − prev, predicted by the 3-D
-                    // Lorenzo stencil over already-reconstructed residuals.
-                    let mut res = Buffer3::zeros(d);
-                    let mut recon = Buffer3::zeros(d);
-                    for k in 0..d.nz {
-                        for j in 0..d.ny {
-                            for i in 0..d.nx {
-                                let val = u.get(i, j, k);
-                                let pv = prev.get(i, j, k);
-                                let pred = lorenzo3(&res, i, j, k);
-                                let (sym, rec_r) = q.quantize(val - pv, pred);
-                                delta_syms.push(sym);
-                                let value = if sym == OUTLIER_SYMBOL {
-                                    // Outliers carry the full value so
-                                    // they restore bit-exactly.
-                                    delta_outliers.push(val);
-                                    res.set(i, j, k, val - pv);
-                                    val
-                                } else {
-                                    res.set(i, j, k, rec_r);
-                                    pv + rec_r
-                                };
-                                recon.set(i, j, k, value);
-                            }
-                        }
-                    }
-                    decoded.push(Some(recon));
+                    decoded.push(Some(delta_encode_unit(&q, u, prev, &mut delta)));
                 }
                 None => {
                     spatial_units.push(u);
@@ -361,11 +335,7 @@ impl TemporalCodec {
             w.put_block(&spatial_stream);
         }
         if n_delta > 0 {
-            huffman::encode_block_into(&delta_syms, &mut w);
-            w.put_u64(delta_outliers.len() as u64);
-            for &v in &delta_outliers {
-                w.put_f64(v);
-            }
+            delta.write(&mut w);
         }
         let payload = w.into_bytes();
         let flags = if n_delta > 0 { FLAG_REFERENCED } else { 0 };
@@ -380,6 +350,65 @@ impl TemporalCodec {
             cells: total_cells(units),
         })
     }
+}
+
+/// Delta-code one unit against its reference unit `prev` (same dims),
+/// draining symbols and outliers into `delta`; returns the unit as the
+/// decoder will reconstruct it.
+///
+/// The residual field `r = val − prev` is predicted by the 3-D Lorenzo
+/// stencil over already-reconstructed residuals, one x-row at a time
+/// through [`kernels::lorenzo_quantize_row`]. Outliers carry the full
+/// value, so they restore bit-exactly; their stored residual is the
+/// unquantized `val − prev`.
+fn delta_encode_unit(
+    q: &Quantizer,
+    unit: &Buffer3,
+    prev: &Buffer3,
+    delta: &mut SymbolStream,
+) -> Buffer3 {
+    let d = unit.dims();
+    let (nx, plane) = (d.nx, d.nx * d.ny);
+    let mut res = vec![0.0f64; d.len()];
+    let mut recon = vec![0.0f64; d.len()];
+    // Zero row standing in for out-of-domain stencil neighbours.
+    let zeros = vec![0.0f64; nx];
+    let mut resid = vec![0.0f64; nx];
+    let mut syms = vec![0u32; nx];
+    for k in 0..d.nz {
+        for j in 0..d.ny {
+            let base = d.idx(0, j, k);
+            let vals = &unit.data()[base..base + nx];
+            let pvs = &prev.data()[base..base + nx];
+            for ((r, &v), &pv) in resid.iter_mut().zip(vals).zip(pvs) {
+                *r = v - pv;
+            }
+            // All stencil neighbours live strictly before this row.
+            let (head, tail) = res.split_at_mut(base);
+            let jm = if j > 0 { &head[base - nx..base] } else { &zeros };
+            let km = if k > 0 {
+                &head[base - plane..base - plane + nx]
+            } else {
+                &zeros
+            };
+            let jkm = if j > 0 && k > 0 {
+                &head[base - plane - nx..base - plane]
+            } else {
+                &zeros
+            };
+            let rec_r = &mut tail[..nx];
+            kernels::lorenzo_quantize_row(q, &resid, jm, km, jkm, [0.0; 4], &mut syms, rec_r);
+            delta.drain_row(vals, &syms);
+            for (x, out) in recon[base..base + nx].iter_mut().enumerate() {
+                *out = if syms[x] == OUTLIER_SYMBOL {
+                    vals[x]
+                } else {
+                    pvs[x] + rec_r[x]
+                };
+            }
+        }
+    }
+    Buffer3::from_vec(d, recon)
 }
 
 impl Codec for TemporalCodec {
