@@ -79,13 +79,16 @@ impl HuffmanCode {
     /// 64-bit accumulator (one shift+or per symbol, one store per byte)
     /// instead of the per-bit [`BitWriter`] loop. Byte-identical to
     /// [`HuffmanCode::encode_reference`].
-    pub fn encode_into(&self, symbols: &[u32], out: &mut Vec<u8>) {
+    /// Accepts any symbol type that widens to `u32` (byte tokens encode
+    /// without a widened copy).
+    pub fn encode_into<S: Copy + Into<u32>>(&self, symbols: &[S], out: &mut Vec<u8>) {
         // Valid bits live in acc[0, nbits); after the drain loop nbits ≤ 7,
         // so `acc << len` with len ≤ MAX_CODE_LEN = 32 never overflows.
         // Stale bits above the valid region are cut by the `as u8` casts.
         let mut acc = 0u64;
         let mut nbits = 0u32;
         for &s in symbols {
+            let s: u32 = s.into();
             let (code, len) = self.encode[s as usize];
             debug_assert!(len > 0, "symbol {s} not in code book");
             acc = (acc << len) | code;
@@ -538,7 +541,11 @@ pub fn encode_with_table_into(symbols: &[u32], w: &mut Writer) {
 ///
 /// `freqs` must be the exact sorted histogram [`count_frequencies`] would
 /// produce for `symbols`.
-pub fn encode_with_histogram_into(symbols: &[u32], freqs: &[(u32, u64)], w: &mut Writer) {
+pub fn encode_with_histogram_into<S: Copy + Into<u32>>(
+    symbols: &[S],
+    freqs: &[(u32, u64)],
+    w: &mut Writer,
+) {
     if symbols.is_empty() {
         w.put_u32(0);
         return;

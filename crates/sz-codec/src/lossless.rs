@@ -26,7 +26,16 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 /// Compress `data`, appending to `out` (the buffer-reusing hot path).
 pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
     let tokens = lz_parse(data);
-    let entropy = huffman::encode_with_table(&tokens.iter().map(|&b| b as u32).collect::<Vec<_>>());
+    // Order-0 entropy stage over the token bytes: a 256-bin histogram
+    // gives the sorted `(symbol, count)` list `count_frequencies` would.
+    let mut hist = [0u64; 256];
+    for &b in &tokens {
+        hist[b as usize] += 1;
+    }
+    let freqs: Vec<(u32, u64)> = (0u32..).zip(hist).filter(|&(_, c)| c > 0).collect();
+    let mut ew = Writer::new();
+    huffman::encode_with_histogram_into(&tokens, &freqs, &mut ew);
+    let entropy = ew.into_bytes();
     let mut w = Writer::from_vec(std::mem::take(out));
     w.put_u64(data.len() as u64);
     // Keep whichever representation is smaller; raw fallback keeps the
@@ -97,7 +106,109 @@ fn hash4(data: &[u8], i: usize) -> usize {
 ///   varint extension), then the literal bytes;
 /// * match: control byte `0x80 | (len − MIN_MATCH)` (0x7F extension adds a
 ///   varint), then a little-endian u16 distance (≥ 1).
+///
+/// At each position the longest match among the `MAX_CHAIN` most recent
+/// same-hash positions inside the window wins, the nearest on ties. The
+/// match finder is exact-parse: it skips work, never candidates, so its
+/// tokens are those of the plain chain walk (`lz_parse_reference`, the
+/// test oracle). It rejects a candidate that cannot beat the best length
+/// with one byte compare at that length, extends matches eight bytes at a
+/// time, and stops walking once a match reaches the end of the input.
+/// Chain links live in a `WINDOW`-entry ring of `u16` distances (0 = end
+/// of chain): a walk only visits positions less than `WINDOW` behind the
+/// cursor, whose ring slots no later position has overwritten yet.
 fn lz_parse(data: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+    let mut head = vec![usize::MAX; 1 << HASH_BITS];
+    let mut link = vec![0u16; WINDOW];
+    // Insert position p into its hash chain.
+    fn insert(data: &[u8], head: &mut [usize], link: &mut [u16], p: usize) {
+        let h = hash4(data, p);
+        let last = head[h];
+        link[p % WINDOW] = if last != usize::MAX && p - last < WINDOW {
+            (p - last) as u16
+        } else {
+            0
+        };
+        head[h] = p;
+    }
+    let hash_limit = data.len().saturating_sub(MIN_MATCH - 1);
+    let mut lit_start = 0usize;
+    let mut i = 0usize;
+    while i < data.len() {
+        let mut best_len = 0usize;
+        let mut best_dist = 0usize;
+        if i < hash_limit {
+            let limit = data.len() - i;
+            let mut cand = head[hash4(data, i)];
+            let mut chain = 0;
+            while cand != usize::MAX && i - cand < WINDOW && chain < MAX_CHAIN {
+                // Only a candidate agreeing at offset `best_len` can be
+                // longer than the best so far.
+                if data[cand + best_len] == data[i + best_len] {
+                    let l = match_len(data, cand, i, limit);
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - cand;
+                        if l == limit {
+                            break; // nothing can be longer
+                        }
+                    }
+                }
+                cand = match link[cand % WINDOW] {
+                    0 => usize::MAX,
+                    d => cand - d as usize,
+                };
+                chain += 1;
+            }
+        }
+        if best_len >= MIN_MATCH {
+            flush_literals(&mut out, &data[lit_start..i]);
+            emit_match(&mut out, best_len, best_dist);
+            // Register the covered positions so later matches can point
+            // into them.
+            let end = (i + best_len).min(hash_limit);
+            for p in i..end {
+                insert(data, &mut head, &mut link, p);
+            }
+            i += best_len;
+            lit_start = i;
+        } else {
+            if i < hash_limit {
+                insert(data, &mut head, &mut link, i);
+            }
+            i += 1;
+        }
+    }
+    flush_literals(&mut out, &data[lit_start..]);
+    out
+}
+
+/// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
+/// `limit` (`b + limit ≤ data.len()`, `a < b`), compared eight bytes at a
+/// time.
+#[inline]
+fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let word = |p: usize| u64::from_le_bytes(data[p..p + 8].try_into().expect("8 bytes"));
+    let mut l = 0usize;
+    while l + 8 <= limit {
+        let diff = word(a + l) ^ word(b + l);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < limit && data[a + l] == data[b + l] {
+        l += 1;
+    }
+    l
+}
+
+/// The plain hash-chain walk `lz_parse` replaced (one `usize` chain link
+/// per input byte, byte-at-a-time extension, full chain walks): the
+/// oracle its tokens are pinned against.
+#[cfg(test)]
+fn lz_parse_reference(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
     let mut head = vec![usize::MAX; 1 << HASH_BITS];
     let mut prev = vec![usize::MAX; data.len()];
@@ -135,8 +246,6 @@ fn lz_parse(data: &[u8]) -> Vec<u8> {
         if best_len >= MIN_MATCH {
             flush_literals(&mut out, &data[lit_start..i]);
             emit_match(&mut out, best_len, best_dist);
-            // Register the covered positions so later matches can point
-            // into them.
             let end = (i + best_len).min(hash_limit);
             for p in i..end {
                 insert(data, &mut head, &mut prev, p);
@@ -403,6 +512,84 @@ mod tests {
         let mut bad2 = c;
         bad2[0] ^= 0xFF;
         assert!(decompress(&bad2).is_err());
+    }
+
+    /// Lossless payload inside an envelope-framed codec stream.
+    fn inner_payload(stream: &[u8]) -> Vec<u8> {
+        let env = crate::codec::read_envelope(stream).expect("envelope");
+        decompress(&stream[env.payload_offset..]).expect("lossless payload")
+    }
+
+    /// Real codec payloads: an SZ_L/R stream, and a temporal stream with
+    /// spatial and delta units.
+    fn codec_payloads() -> [Vec<u8>; 2] {
+        use crate::buffer3::{Buffer3, Dims3};
+        use crate::temporal::{TemporalCodec, TemporalConfig, TemporalReference};
+        let snapshot = |t: f64| -> Vec<Buffer3> {
+            (0..6)
+                .map(|u| {
+                    let mut b = Buffer3::zeros(Dims3::new(16, 12, 10));
+                    b.fill_with(|i, j, k| {
+                        (0.3 * i as f64 + t).sin() * (0.2 * j as f64).cos()
+                            + 0.1 * k as f64
+                            + u as f64
+                    });
+                    b
+                })
+                .collect()
+        };
+        let prev = snapshot(0.0);
+        let refs: Vec<&Buffer3> = prev.iter().collect();
+        let lr = crate::lr::compress_domains(&refs, &crate::lr::LrConfig::new(1e-4));
+        let reference = std::sync::Arc::new(TemporalReference::new(1, prev));
+        let mapping = vec![Some(0), None, Some(2), Some(3), None, Some(5)];
+        let codec = TemporalCodec::with_reference(TemporalConfig::new(1e-4), reference, mapping);
+        let temporal = crate::codec::Codec::compress(&codec, &snapshot(0.01)).unwrap();
+        [inner_payload(&lr), inner_payload(&temporal)]
+    }
+
+    #[test]
+    fn parse_matches_reference_tokens() {
+        let mut x = 0x5EEDu64;
+        let mut random = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (x >> 56) as u8
+                })
+                .collect()
+        };
+        let periodic =
+            |block: &[u8], n: usize| -> Vec<u8> { block.iter().copied().cycle().take(n).collect() };
+        let under = random(WINDOW - 1);
+        let over = random(WINDOW + 1);
+        let mut runs = vec![7u8; WINDOW + 4_464];
+        runs.extend(vec![0u8; 2 * WINDOW + 3]);
+        runs.extend(b"tail");
+        let [lr, temporal] = codec_payloads();
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("empty", Vec::new()),
+            ("one byte", b"a".to_vec()),
+            ("under MIN_MATCH", b"abc".to_vec()),
+            ("exactly MIN_MATCH", b"abcd".to_vec()),
+            ("random 200 KB", random(200_000)),
+            (
+                "single-byte run past the window",
+                vec![0xAB; WINDOW + 1_000],
+            ),
+            ("runs ending at input end", runs),
+            ("period WINDOW - 1", periodic(&under, 3 * WINDOW)),
+            ("period WINDOW + 1", periodic(&over, 3 * WINDOW)),
+            ("LR payload", lr),
+            ("temporal payload", temporal),
+        ];
+        for (name, data) in cases {
+            let tokens = lz_parse(&data);
+            assert!(tokens == lz_parse_reference(&data), "{name}: tokens differ");
+            assert_eq!(decompress(&compress(&data)).unwrap(), data, "{name}");
+        }
     }
 
     #[test]

@@ -385,7 +385,11 @@ fn delta_encode_unit(
             }
             // All stencil neighbours live strictly before this row.
             let (head, tail) = res.split_at_mut(base);
-            let jm = if j > 0 { &head[base - nx..base] } else { &zeros };
+            let jm = if j > 0 {
+                &head[base - nx..base]
+            } else {
+                &zeros
+            };
             let km = if k > 0 {
                 &head[base - plane..base - plane + nx]
             } else {
