@@ -13,10 +13,11 @@
 //! and the smaller one ships — temporal output is never larger than
 //! spatial-only output, even under dynamics violent enough that residuals
 //! cost more than the field itself. The session retains
-//! the decoded state of everything it writes (returned by the codec
-//! during encoding — never a second decode pass), so the next snapshot
-//! predicts from exactly what any reader will reconstruct and error never
-//! accumulates across steps.
+//! the decoded state of everything it writes, as returned by the codec
+//! while encoding: delta units reconstruct as they are quantized, and
+//! spatial units keep the reconstruction the SZ_L/R encoder builds for
+//! its own prediction. So the next snapshot predicts from exactly what
+//! any reader will reconstruct, and error never accumulates across steps.
 //!
 //! Reference linkage is recorded twice, at different granularities:
 //!
