@@ -90,7 +90,6 @@ impl Streams {
 /// tracks the nonzero entries so reset is O(distinct symbols), not
 /// O(65536). Shared by the SZ_L/R data stream and the temporal delta
 /// stream, which serialize identically.
-#[derive(Default)]
 pub(crate) struct SymbolStream {
     syms: Vec<u32>,
     outliers: Vec<f64>,
@@ -98,8 +97,19 @@ pub(crate) struct SymbolStream {
     touched: Vec<u32>,
 }
 
+impl Default for SymbolStream {
+    fn default() -> Self {
+        SymbolStream {
+            syms: Vec::new(),
+            outliers: Vec::new(),
+            freq: vec![0; 2 * QUANT_RADIUS as usize],
+            touched: Vec::new(),
+        }
+    }
+}
+
 impl SymbolStream {
-    /// Empty the stream (sizing the histogram on first use).
+    /// Empty the stream.
     pub(crate) fn clear(&mut self) {
         self.syms.clear();
         self.outliers.clear();
@@ -107,7 +117,6 @@ impl SymbolStream {
             self.freq[t as usize] = 0;
         }
         self.touched.clear();
-        self.freq.resize(2 * QUANT_RADIUS as usize, 0);
     }
 
     /// Drain one kernel-produced symbol row into the stream: push the raw
@@ -186,7 +195,7 @@ pub fn compress_domains_pooled(domains: &[&Buffer3], cfg: &LrConfig, out: &mut V
 /// builds these buffers anyway (Lorenzo predicts from them), so callers
 /// that must retain the decoded state, such as the temporal codec's
 /// spatial fallback, get it without a decode pass.
-pub fn compress_domains_pooled_with_recon(
+pub(crate) fn compress_domains_pooled_with_recon(
     domains: &[&Buffer3],
     cfg: &LrConfig,
     out: &mut Vec<u8>,

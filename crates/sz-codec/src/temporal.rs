@@ -269,7 +269,6 @@ impl TemporalCodec {
         // Quantize the delta units; collect the spatial fallbacks.
         let q = Quantizer::new(self.cfg.abs_eb);
         let mut delta = SymbolStream::default();
-        delta.clear();
         let mut spatial_units: Vec<&Buffer3> = Vec::new();
         // Decoded state in unit order (spatial units are filled from the
         // spatial encoder's reconstructions below).
