@@ -574,6 +574,12 @@ mod tests {
             ("one byte", b"a".to_vec()),
             ("under MIN_MATCH", b"abc".to_vec()),
             ("exactly MIN_MATCH", b"abcd".to_vec()),
+            // The nearest candidate falls one byte short of the end of the
+            // input; a farther one reaches it and must win.
+            (
+                "longest match is the farther one",
+                b"abcdeZ1abcdeQ2abcdeZ".to_vec(),
+            ),
             ("random 200 KB", random(200_000)),
             (
                 "single-byte run past the window",
