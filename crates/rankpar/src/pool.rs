@@ -412,15 +412,15 @@ mod tests {
     #[test]
     fn reassembly_poison_releases_waiters() {
         let q = std::sync::Arc::new(Reassembly::new(1));
+        assert!(q.deposit(0, 0u8));
         let q2 = std::sync::Arc::clone(&q);
-        let h = std::thread::spawn(move || {
-            assert!(q2.deposit(0, 0u8));
-            // Window of 1: this deposit blocks until poison.
-            assert!(!q2.deposit(1, 1u8));
-        });
-        assert_eq!(q.take_next(), Some(0));
+        // Window of 1 and frame 0 never taken: this deposit cannot
+        // succeed. It blocks until the poison, or finds the queue
+        // already poisoned — both return `false`.
+        let h = std::thread::spawn(move || q2.deposit(1, 1u8));
         q.poison();
-        h.join().unwrap();
+        assert!(!h.join().unwrap());
+        // The poison dropped frame 0, and nothing else will arrive.
         assert_eq!(q.take_next(), None);
     }
 
