@@ -124,41 +124,55 @@ pub fn collective_finalize(
         return Err(e);
     }
     if all_ok.contains(&false) {
-        return Err(H5Error::Format(
-            "collective write aborted: a peer rank's chunk failed to encode".into(),
-        ));
+        return Err(H5Error::PeerAborted);
     }
 
-    // Gather chunk records in rank order; rank 0 registers the dataset.
-    let all_records: Vec<Vec<(u64, u64, u64)>> = comm.allgather(
-        my_records
-            .iter()
-            .map(|r| (r.offset, r.stored_bytes, r.logical_elems))
-            .collect::<Vec<_>>(),
-    );
-    if comm.rank() == 0 {
-        let chunks: Vec<ChunkRecord> = all_records
-            .into_iter()
-            .flatten()
-            .map(|(offset, stored_bytes, logical_elems)| ChunkRecord {
-                offset,
-                stored_bytes,
-                logical_elems,
+    // Gather chunk records in rank order; rank 0 registers the dataset
+    // (and still meets the barrier if that fails).
+    let all_records: Vec<Vec<ChunkRecord>> = comm.allgather(my_records);
+    let registered = match comm.rank() {
+        0 => {
+            let chunks: Vec<ChunkRecord> = all_records.into_iter().flatten().collect();
+            writer.register_dataset(DatasetMeta {
+                name: name.to_string(),
+                total_elems: chunks.iter().map(|c| c.logical_elems).sum(),
+                chunk_elems: chunk_elems as u64,
+                filter_id: filter.id(),
+                filter_mode: mode,
+                client_data: filter.client_data(),
+                chunks,
             })
-            .collect();
-        let total = chunks.iter().map(|c| c.logical_elems).sum();
-        writer.register_dataset(DatasetMeta {
-            name: name.to_string(),
-            total_elems: total,
-            chunk_elems: chunk_elems as u64,
-            filter_id: filter.id(),
-            filter_mode: mode,
-            client_data: filter.client_data(),
-            chunks,
-        })?;
-    }
+        }
+        _ => Ok(()),
+    };
     comm.barrier();
-    Ok(receipt)
+    registered.map(|()| receipt)
+}
+
+/// Write a batch of encoded frames into one contiguous extent: a single
+/// atomic reservation sized from the frames (the one-pass write of the
+/// paper's §3.3), then positioned writes in frame order. Each written
+/// frame's [`ChunkRecord`] is appended to `records` and its write counted
+/// in `receipt`; the first failed write stops the batch. Every collective
+/// write path that streams pre-encoded frames goes through here.
+pub fn write_frame_extent(
+    writer: &H5Writer,
+    frames: &[EncodedFrame],
+    receipt: &mut CollectiveReceipt,
+    records: &mut Vec<ChunkRecord>,
+) -> H5Result<()> {
+    let plan = writer.reserve_extent(frames.iter().map(|f| f.bytes.len() as u64));
+    for (frame, &offset) in frames.iter().zip(&plan.offsets) {
+        writer.write_at(offset, &frame.bytes)?;
+        receipt.write_calls += 1;
+        receipt.bytes_written += frame.bytes.len() as u64;
+        records.push(ChunkRecord {
+            offset,
+            stored_bytes: frame.bytes.len() as u64,
+            logical_elems: frame.logical_elems,
+        });
+    }
+    Ok(())
 }
 
 /// Collectively write one dataset from **pre-encoded** frames — the write
@@ -188,32 +202,16 @@ pub fn collective_write_frames(
         ..Default::default()
     };
     let mut my_records = Vec::new();
-    let mut failure: Option<H5Error> = None;
-    match &my_frames {
+    let failure = match &my_frames {
         Some(frames) => {
             receipt.filter_calls = frames.len() as u64;
             receipt.encode_seconds = frames.iter().map(|f| f.encode_seconds).sum();
-            let plan = writer.reserve_extent(frames.iter().map(|f| f.bytes.len() as u64));
-            for (frame, &offset) in frames.iter().zip(&plan.offsets) {
-                if let Err(e) = writer.write_at(offset, &frame.bytes) {
-                    failure = Some(e);
-                    break;
-                }
-                receipt.write_calls += 1;
-                receipt.bytes_written += frame.bytes.len() as u64;
-                my_records.push(ChunkRecord {
-                    offset,
-                    stored_bytes: frame.bytes.len() as u64,
-                    logical_elems: frame.logical_elems,
-                });
-            }
+            write_frame_extent(writer, frames, &mut receipt, &mut my_records).err()
         }
-        None => {
-            failure = Some(H5Error::Format(
-                "collective write aborted: this rank failed to encode its frames".into(),
-            ));
-        }
-    }
+        None => Some(H5Error::Format(
+            "collective write aborted: this rank failed to encode its frames".into(),
+        )),
+    };
     collective_finalize(
         comm,
         writer,
@@ -259,30 +257,6 @@ pub fn collective_write_pipelined(
     let batch_size = workers.max(2);
     let mut batch: Vec<EncodedFrame> = Vec::with_capacity(batch_size);
 
-    fn flush_batch(
-        writer: &H5Writer,
-        batch: &mut Vec<EncodedFrame>,
-        receipt: &mut CollectiveReceipt,
-        records: &mut Vec<ChunkRecord>,
-    ) -> H5Result<()> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let plan = writer.reserve_extent(batch.iter().map(|f| f.bytes.len() as u64));
-        for (frame, &offset) in batch.iter().zip(&plan.offsets) {
-            writer.write_at(offset, &frame.bytes)?;
-            receipt.write_calls += 1;
-            receipt.bytes_written += frame.bytes.len() as u64;
-            records.push(ChunkRecord {
-                offset,
-                stored_bytes: frame.bytes.len() as u64,
-                logical_elems: frame.logical_elems,
-            });
-        }
-        batch.clear();
-        Ok(())
-    }
-
     let pool_result: Result<(), H5Error> = rankpar::pool::for_each_ordered(
         my_chunks,
         workers,
@@ -296,17 +270,17 @@ pub fn collective_write_pipelined(
             receipt.filter_calls += 1;
             receipt.encode_seconds += frame.encode_seconds;
             batch.push(frame);
-            if batch.len() >= batch_size {
-                flush_batch(writer, &mut batch, &mut receipt, &mut my_records)
-            } else {
-                Ok(())
+            if batch.len() < batch_size {
+                return Ok(());
             }
+            let written = write_frame_extent(writer, &batch, &mut receipt, &mut my_records);
+            batch.clear();
+            written
         },
     );
-    let failure = match pool_result {
-        Ok(()) => flush_batch(writer, &mut batch, &mut receipt, &mut my_records).err(),
-        Err(e) => Some(e),
-    };
+    let failure = pool_result
+        .and_then(|()| write_frame_extent(writer, &batch, &mut receipt, &mut my_records))
+        .err();
     collective_finalize(
         comm,
         writer,

@@ -28,6 +28,9 @@ pub enum H5Error {
     Duplicate(String),
     /// No registered filter for the stored filter id.
     UnknownFilter(u32),
+    /// A collective write this rank took part in aborted because a peer
+    /// rank failed; the peer's own error carries the cause.
+    PeerAborted,
 }
 
 impl std::fmt::Display for H5Error {
@@ -47,6 +50,7 @@ impl std::fmt::Display for H5Error {
             ),
             H5Error::Duplicate(n) => write!(f, "dataset already exists: {n}"),
             H5Error::UnknownFilter(id) => write!(f, "no filter registered for id {id}"),
+            H5Error::PeerAborted => write!(f, "collective write aborted: a peer rank failed"),
         }
     }
 }

@@ -50,7 +50,7 @@ pub use storage::{open_storage, open_storage_rw, FileStorage, MemStorage, Storag
 pub mod prelude {
     pub use crate::collective::{
         collective_finalize, collective_write, collective_write_frames, collective_write_pipelined,
-        CollectiveReceipt,
+        write_frame_extent, CollectiveReceipt,
     };
     pub use crate::dataset::{ChunkRecord, DatasetMeta, ExtentPlan};
     pub use crate::error::{H5Error, H5Result};
