@@ -3,12 +3,9 @@
 //! no-compression path.
 
 use crate::config::BaselineConfig;
-use crate::writer::{fold_receipt, ints_to_f64, write_metadata, WriteReport};
+use crate::writer::{fold_receipt, ints_to_f64, write_ranks, WriteReport};
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
-use rankpar::prelude::*;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Stage a rank's data for one level in AMReX plotfile layout: for each
 /// owned box (in local order), all fields back to back.
@@ -41,125 +38,80 @@ pub fn write_amrex_baseline(
     h: &AmrHierarchy,
     cfg: &BaselineConfig,
 ) -> H5Result<WriteReport> {
-    let nranks = h.level(0).data.distribution().nranks();
-    let writer = Arc::new(H5Writer::create(path)?);
-    let num_levels = h.num_levels();
-
-    let per_rank: Vec<(IoLedger, f64)> = run_ranks(nranks, |comm| {
-        let rank = comm.rank();
-        let mut ledger = IoLedger::default();
-        let mut prep_s = 0.0;
-        for l in 0..num_levels {
-            let level = &h.level(l).data;
-            let t0 = Instant::now();
-            let staged = stage_amrex_layout(level, rank);
-            prep_s += t0.elapsed().as_secs_f64();
-            // H5Z-SZ REL mode: the bound resolves per chunk. Chunks cut
-            // across field boundaries inside a box payload, so different
-            // fields share one bound — the §3.3 Challenge-1 flaw,
-            // reproduced at its real (chunk) granularity.
-            let filter = SzFilter::one_dimensional(cfg.rel_eb);
-            // The small chunk size forces one compressor call per 1024
-            // elements (§4.4's launch-cost analysis).
-            let chunks: Vec<ChunkData> = staged
-                .chunks(cfg.chunk_elems)
-                .map(|c| ChunkData::full(c.to_vec()))
-                .collect();
-            let receipt = collective_write(
-                &comm,
-                &writer,
-                &format!("level_{l}/data"),
-                &chunks,
-                cfg.chunk_elems,
-                &filter,
-                FilterMode::Standard,
-            )
-            .expect("collective write failed");
-            fold_receipt(&mut ledger, &receipt);
-            let elems = comm.allgather(staged.len() as u64);
-            if rank == 0 {
-                write_rank_elems(&writer, l, &elems).expect("rank_elems write failed");
-            }
-        }
-        if rank == 0 {
-            write_metadata(&writer, h, &[0, 0]).expect("metadata write failed");
-        }
-        comm.barrier();
-        (ledger, prep_s)
-    });
-
-    writer.finish()?;
-    let (ledgers, prep_seconds): (Vec<IoLedger>, Vec<f64>) = per_rank.into_iter().unzip();
-    let stored = ledgers.iter().map(|l| l.bytes_written).sum();
-    Ok(WriteReport {
-        nranks,
-        ledgers,
-        prep_seconds,
-        orig_bytes: h.snapshot_bytes(),
-        stored_bytes: stored,
-    })
+    write_amrex_layout(&H5Writer::create(path)?, h, Some(cfg))
 }
 
 /// The no-compression path: same AMReX layout, raw bytes, one write per
 /// rank per level (no filter pipeline at all).
 pub fn write_nocomp(path: impl AsRef<std::path::Path>, h: &AmrHierarchy) -> H5Result<WriteReport> {
-    let nranks = h.level(0).data.distribution().nranks();
-    let writer = Arc::new(H5Writer::create(path)?);
-    let num_levels = h.num_levels();
+    write_amrex_layout(&H5Writer::create(path)?, h, None)
+}
 
-    let per_rank: Vec<(IoLedger, f64)> = run_ranks(nranks, |comm| {
-        let rank = comm.rank();
-        let mut ledger = IoLedger::default();
-        let mut prep_s = 0.0;
-        for l in 0..num_levels {
-            let level = &h.level(l).data;
-            let t0 = Instant::now();
-            let staged = stage_amrex_layout(level, rank);
-            prep_s += t0.elapsed().as_secs_f64();
+/// The per-level body both comparison writers run on the rank skeleton:
+/// each rank stages its boxes in AMReX layout and writes `level_{l}/data`
+/// collectively — through 1-D SZ in `cfg`-sized chunks, or raw as one
+/// chunk per rank when `cfg` is `None` — then rank 0 records the per-rank
+/// element counts. Finishes the container.
+fn write_amrex_layout(
+    writer: &H5Writer,
+    h: &AmrHierarchy,
+    cfg: Option<&BaselineConfig>,
+) -> H5Result<WriteReport> {
+    let (report, _) = write_ranks(writer, h, [0, 0], |rank| {
+        for l in 0..h.num_levels() {
+            let r = rank.comm.rank();
+            let staged = rank.prep(|| stage_amrex_layout(&h.level(l).data, r));
             let staged_len = staged.len() as u64;
-            let chunk_elems = comm.allreduce_max(staged_len) as usize;
-            let chunks = if staged.is_empty() {
-                Vec::new()
-            } else {
-                vec![ChunkData::full(staged)]
+            let sz;
+            let (chunks, chunk_elems, filter, mode): (_, _, &dyn ChunkFilter, _) = match cfg {
+                // H5Z-SZ REL mode: the bound resolves per chunk. Chunks cut
+                // across field boundaries inside a box payload, so
+                // different fields share one bound — the §3.3 Challenge-1
+                // flaw, reproduced at its real (chunk) granularity. The
+                // small chunk size forces one compressor call per 1024
+                // elements (§4.4's launch-cost analysis).
+                Some(cfg) => {
+                    sz = SzFilter::one_dimensional(cfg.rel_eb);
+                    let chunks: Vec<ChunkData> = staged
+                        .chunks(cfg.chunk_elems)
+                        .map(|c| ChunkData::full(c.to_vec()))
+                        .collect();
+                    (chunks, cfg.chunk_elems, &sz, FilterMode::Standard)
+                }
+                None => {
+                    let chunk_elems = rank.comm.allreduce_max(staged_len) as usize;
+                    let chunks = if staged.is_empty() {
+                        Vec::new()
+                    } else {
+                        vec![ChunkData::full(staged)]
+                    };
+                    (chunks, chunk_elems.max(1), &NoFilter, FilterMode::SizeAware)
+                }
             };
+            let name = format!("level_{l}/data");
             let receipt = collective_write(
-                &comm,
-                &writer,
-                &format!("level_{l}/data"),
+                &rank.comm,
+                writer,
+                &name,
                 &chunks,
-                chunk_elems.max(1),
-                &NoFilter,
-                FilterMode::SizeAware,
-            )
-            .expect("collective write failed");
-            fold_receipt(&mut ledger, &receipt);
-            // No compression filter runs in this path: the NoFilter pass is
-            // a staging copy, not a compressor launch.
-            ledger.filter_calls = 0;
-            ledger.measured_compute_s = 0.0;
-            let elems = comm.allgather(staged_len);
-            if rank == 0 {
-                write_rank_elems(&writer, l, &elems).expect("rank_elems write failed");
+                chunk_elems,
+                filter,
+                mode,
+            )?;
+            fold_receipt(&mut rank.ledger, &receipt);
+            if cfg.is_none() {
+                // No compression filter runs in this path: the NoFilter
+                // pass is a staging copy, not a compressor launch.
+                rank.ledger.filter_calls = 0;
+                rank.ledger.measured_compute_s = 0.0;
             }
+            let elems = rank.comm.allgather(staged_len);
+            rank.on_root(|| write_rank_elems(writer, l, &elems));
         }
-        if rank == 0 {
-            write_metadata(&writer, h, &[0, 0]).expect("metadata write failed");
-        }
-        comm.barrier();
-        (ledger, prep_s)
-    });
-
+        Ok(())
+    })?;
     writer.finish()?;
-    let (ledgers, prep_seconds): (Vec<IoLedger>, Vec<f64>) = per_rank.into_iter().unzip();
-    let stored = ledgers.iter().map(|l| l.bytes_written).sum();
-    Ok(WriteReport {
-        nranks,
-        ledgers,
-        prep_seconds,
-        orig_bytes: h.snapshot_bytes(),
-        stored_bytes: stored,
-    })
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -167,6 +119,7 @@ mod tests {
     use super::*;
     use amr_apps::prelude::*;
 
+    use crate::faulty_storage::FaultyStorage;
     use h5lite::testutil::TempDir;
 
     fn small_h() -> AmrHierarchy {
@@ -231,5 +184,37 @@ mod tests {
             amric.compression_ratio(),
             base.compression_ratio()
         );
+    }
+
+    #[test]
+    fn storage_faults_return_errors_through_the_shared_body() {
+        // Both baselines, every write_at a clean run makes and finalize:
+        // the write returns Err (no rank panics, no deadlock — the sweep
+        // runs under a watchdog) and the image never opens.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let h = small_h();
+            let cfg = BaselineConfig::new(1e-2);
+            for cfg in [Some(&cfg), None] {
+                let write = |storage: &FaultyStorage| {
+                    H5Writer::with_storage(Box::new(storage.clone()))
+                        .and_then(|w| write_amrex_layout(&w, &h, cfg))
+                };
+                let clean = FaultyStorage::default();
+                write(&clean).unwrap();
+                for n in 1..=clean.writes() {
+                    let storage = FaultyStorage::failing_write(n);
+                    assert!(write(&storage).is_err(), "write_at #{n} failed silently");
+                    assert!(H5Reader::from_storage(Box::new(storage.mem)).is_err());
+                }
+                assert!(write(&FaultyStorage::failing_finalize()).is_err());
+            }
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(300)) {
+            Ok(()) => {}
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("baseline write deadlocked"),
+            Err(_) => panic!("baseline fault sweep panicked"),
+        }
     }
 }

@@ -61,8 +61,14 @@ pub mod temporal;
 pub mod writer;
 pub mod zmesh;
 
+/// Storage fault injection for the crate's unit tests, shared with the
+/// write-failure integration suite.
+#[cfg(test)]
+#[path = "../tests/support/mod.rs"]
+mod faulty_storage;
+
 pub use codec::{decompress_auto, default_registry};
-pub use config::{AmricConfig, BaselineConfig, BoundPolicy, MergePolicy, WriteParallelism};
+pub use config::{AmricConfig, BaselineConfig, BoundPolicy, MergePolicy};
 pub use parallel::compress_chunks_parallel;
 pub use pipeline::{stream_unit_bounds, ResolvedBound};
 
@@ -72,9 +78,7 @@ pub mod prelude {
     pub use crate::codec::{
         decompress_auto, default_registry, AmricCodec, BaselineCodec, TacCodec, ZmeshCodec,
     };
-    pub use crate::config::{
-        AmricConfig, BaselineConfig, BoundPolicy, MergePolicy, WriteParallelism,
-    };
+    pub use crate::config::{AmricConfig, BaselineConfig, BoundPolicy, MergePolicy};
     pub use crate::parallel::compress_chunks_parallel;
     pub use crate::pipeline::{
         compress_field_units, compress_field_units_resolved, compress_field_units_resolved_into,

@@ -1,18 +1,20 @@
 //! Cross-snapshot temporal compression sessions — threading the
 //! `sz_codec::temporal` delta family through the AMRIC write/read paths.
 //!
-//! A [`TemporalSession`] writes a *series* of snapshots. For each one it
-//! plans units exactly like [`crate::writer::write_amric_to`], then maps
-//! every unit against the previous snapshot's plan **by region identity**
-//! (same level, same rank, same index-space box): units whose region
-//! survived regridding delta-code against the previous snapshot's
-//! *decoded* values; units whose region changed level or layout fall back
-//! to the spatial-only path inside the same stream. Mapped streams are
-//! additionally **size-gated**: a surviving region only proves the layout
-//! held still, so each (level, rank, field) stream is encoded both ways
-//! and the smaller one ships — temporal output is never larger than
-//! spatial-only output, even under dynamics violent enough that residuals
-//! cost more than the field itself. The session retains
+//! A [`TemporalSession`] writes a *series* of snapshots. Each one runs
+//! the same AMRIC field loop as [`crate::writer::write_amric_to`] (same
+//! planning, staging, global bound and chunk size, collective writes and
+//! typed errors), with its own per-field encoder on a one-worker pool.
+//! Each rank maps every unit against the previous snapshot's plan **by
+//! region identity** (same level, same rank, same index-space box): units
+//! whose region survived regridding delta-code against the previous
+//! snapshot's *decoded* values; units whose region changed level or
+//! layout fall back to the spatial-only path inside the same stream.
+//! Mapped streams are additionally **size-gated**: a surviving region only
+//! proves the layout held still, so each (level, rank, field) stream is
+//! encoded both ways and the smaller one ships — temporal output is never
+//! larger than spatial-only output, even under dynamics violent enough
+//! that residuals cost more than the field itself. The session retains
 //! the decoded state of everything it writes, as returned by the codec
 //! while encoding: delta units reconstruct as they are quantized, and
 //! spatial units keep the reconstruction the SZ_L/R encoder builds for
@@ -33,20 +35,20 @@
 //! typed error naming the missing reference rather than decoding wrong
 //! data (see the `sz_codec::temporal` module docs).
 
-use crate::preprocess::{
-    extract_units, plan_bounding_box, plan_units, unit_edge_for_level, PlanExtent, UnitRef,
-};
+use crate::pipeline::AmricScratch;
+use crate::preprocess::UnitRef;
 use crate::reader::{read_plotfile_meta, Plotfile};
-use crate::writer::{field_dataset, fold_receipt, write_metadata, WriteReport};
+use crate::writer::{
+    field_dataset, write_amric_fields, FieldEncoder, FieldScheme, Retained, WriteReport,
+};
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
-use rankpar::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 use sz_codec::codec::CodecId;
+use sz_codec::quantizer::absolute_bound;
 use sz_codec::temporal::{TemporalCodec, TemporalConfig, TemporalReference};
-use sz_codec::{Buffer3, Codec, CodecError};
+use sz_codec::{Buffer3, Codec, CodecError, Dims3};
 
 /// Filter id for the temporal delta filter (registered like the AMRIC
 /// filter, outside h5lite's built-in registry).
@@ -99,26 +101,20 @@ impl ChunkFilter for TemporalFieldFilter {
 }
 
 /// Session-level configuration (a snapshot's streams are still fully
-/// self-describing; this drives the write side only).
+/// self-describing; this drives the write side only). Sessions always
+/// remove redundant coarse data under finer levels (paper §3.1), and the
+/// spatial fallback streams use the stock 6³ SZ blocks.
 #[derive(Clone, Copy, Debug)]
 pub struct TemporalSessionConfig {
     /// Value-range-relative error bound, resolved per (level, field)
     /// against the global range — same REL semantics as the AMRIC writer.
     pub rel_eb: f64,
-    /// Remove redundant coarse data under finer levels (paper §3.1).
-    pub remove_redundancy: bool,
-    /// SZ block size of the spatial fallback streams.
-    pub block_size: usize,
 }
 
 impl TemporalSessionConfig {
     /// Stock configuration at the given relative bound.
     pub fn new(rel_eb: f64) -> Self {
-        TemporalSessionConfig {
-            rel_eb,
-            remove_redundancy: true,
-            block_size: 6,
-        }
+        TemporalSessionConfig { rel_eb }
     }
 }
 
@@ -132,14 +128,6 @@ struct PrevSnapshot {
     plans: Vec<Vec<Vec<UnitRef>>>,
     /// `[level][rank][field]` decoded reference state.
     refs: Vec<Vec<Vec<Arc<TemporalReference>>>>,
-}
-
-/// Per-(rank, level) outcome carried out of the rank closures.
-struct LevelOut {
-    extent: Option<PlanExtent>,
-    plan: Vec<UnitRef>,
-    any_delta: bool,
-    field_refs: Vec<Arc<TemporalReference>>,
 }
 
 /// A multi-snapshot temporal write session. Create one per series, call
@@ -165,6 +153,168 @@ fn region_key(b: &IntBox) -> ([i64; 3], [i64; 3]) {
         [b.lo.get(0), b.lo.get(1), b.lo.get(2)],
         [b.hi.get(0), b.hi.get(1), b.hi.get(2)],
     )
+}
+
+/// Shape of a unit's index-space region.
+fn unit_dims(region: &IntBox) -> Dims3 {
+    let sz = region.size();
+    Dims3::new(sz.get(0) as usize, sz.get(1) as usize, sz.get(2) as usize)
+}
+
+/// The temporal session's side of the AMRIC field loop.
+struct TemporalScheme<'a> {
+    rel_eb: f64,
+    /// Id of the previous snapshot, if the session holds one.
+    prev_id: Option<u64>,
+    /// The previous snapshot, when its fields line up with this one's.
+    prev: Option<&'a PrevSnapshot>,
+}
+
+/// A rank's level under the temporal scheme.
+struct TemporalLevel<'a> {
+    /// Unit shapes, to cut the staged chunk back apart.
+    dims: Vec<Dims3>,
+    /// Per unit, its index in the previous snapshot's plan.
+    unit_refs: Vec<Option<u32>>,
+    /// The previous snapshot's per-field state, when any unit maps.
+    refs: Option<&'a [Arc<TemporalReference>]>,
+}
+
+impl<'a> FieldScheme for TemporalScheme<'a> {
+    type Level = TemporalLevel<'a>;
+    type Encoder = TemporalFieldEncoder;
+    const CODEC: CodecId = CodecId::Temporal;
+
+    fn remove_redundancy(&self) -> bool {
+        true
+    }
+
+    fn mode(&self) -> FilterMode {
+        FilterMode::SizeAware
+    }
+
+    fn workers(&self) -> usize {
+        1
+    }
+
+    /// Regrid-aware mapping: a unit delta-codes iff the same region
+    /// existed in this rank's plan for this level last snapshot. Any
+    /// level/layout change (refined away, coarsened, redistributed,
+    /// re-truncated) misses the map and falls back to spatial coding.
+    fn level(&self, rank: usize, l: usize, units: &[UnitRef]) -> TemporalLevel<'a> {
+        let prev = self
+            .prev
+            .and_then(|p| Some((p.plans.get(l)?.get(rank)?, p.refs.get(l)?.get(rank)?)));
+        let unit_refs: Vec<Option<u32>> = match prev {
+            Some((plan, _)) => {
+                let by_region: HashMap<_, u32> = plan
+                    .iter()
+                    .enumerate()
+                    .map(|(i, u)| (region_key(&u.region), i as u32))
+                    .collect();
+                units
+                    .iter()
+                    .map(|u| by_region.get(&region_key(&u.region)).copied())
+                    .collect()
+            }
+            None => vec![None; units.len()],
+        };
+        TemporalLevel {
+            dims: units.iter().map(|u| unit_dims(&u.region)).collect(),
+            refs: prev
+                .filter(|_| unit_refs.iter().any(Option::is_some))
+                .map(|(_, refs)| refs.as_slice()),
+            unit_refs,
+        }
+    }
+
+    fn encoder(
+        &self,
+        level: &TemporalLevel<'a>,
+        f: usize,
+        unit_edge: usize,
+        range: f64,
+    ) -> TemporalFieldEncoder {
+        TemporalFieldEncoder {
+            filter: TemporalFieldFilter { unit_edge },
+            cfg: TemporalConfig::new(absolute_bound(self.rel_eb, range)),
+            dims: level.dims.clone(),
+            reference: level
+                .refs
+                .map(|refs| (Arc::clone(&refs[f]), level.unit_refs.clone())),
+        }
+    }
+
+    /// The chunk index records the reference only where some field
+    /// stream of the (level, rank) actually shipped delta-coded bytes.
+    fn reference(&self, retained: &[Vec<Retained<Self>>]) -> Option<u64> {
+        let delta = retained.iter().flatten().any(|(_, delta)| *delta);
+        self.prev_id.filter(|_| delta)
+    }
+}
+
+/// The temporal per-field encoder: size-gated delta-vs-spatial coding
+/// that retains the decoded state a reader will reconstruct.
+struct TemporalFieldEncoder {
+    filter: TemporalFieldFilter,
+    cfg: TemporalConfig,
+    /// Shapes of the rank's units, to cut the staged chunk back apart.
+    dims: Vec<Dims3>,
+    /// The previous snapshot's state of this field and the per-unit map.
+    reference: Option<(Arc<TemporalReference>, Vec<Option<u32>>)>,
+}
+
+impl FieldEncoder for TemporalFieldEncoder {
+    /// The decoded units, and whether the delta stream shipped.
+    type Retained = (Vec<Buffer3>, bool);
+
+    fn filter(&self) -> &dyn ChunkFilter {
+        &self.filter
+    }
+
+    /// Size-aware mode choice: a surviving region only proves the
+    /// *layout* held still — violent dynamics can make residuals cost
+    /// more than re-coding the field spatially. Encode both ways when a
+    /// mapping exists and ship the smaller stream, so temporal output is
+    /// never larger than spatial-only output.
+    fn encode_chunk(
+        &self,
+        chunk: &[f64],
+        _scratch: &mut AmricScratch,
+        out: &mut Vec<u8>,
+    ) -> H5Result<Self::Retained> {
+        let total: usize = self.dims.iter().map(|d| d.len()).sum();
+        if chunk.len() != total {
+            return Err(H5Error::Codec(CodecError::dims(format!(
+                "chunk of {} elems, units hold {total}",
+                chunk.len()
+            ))));
+        }
+        let mut rest = chunk;
+        let units: Vec<Buffer3> = self
+            .dims
+            .iter()
+            .map(|&d| {
+                let (unit, tail) = rest.split_at(d.len());
+                rest = tail;
+                Buffer3::from_vec(d, unit.to_vec())
+            })
+            .collect();
+        let (_, mut decoded) = TemporalCodec::spatial(self.cfg).compress_with_state(&units, out)?;
+        let mut delta = false;
+        if let Some((reference, unit_refs)) = &self.reference {
+            let codec =
+                TemporalCodec::with_reference(self.cfg, Arc::clone(reference), unit_refs.clone());
+            let mut delta_bytes = Vec::new();
+            let (_, delta_decoded) = codec.compress_with_state(&units, &mut delta_bytes)?;
+            if delta_bytes.len() < out.len() {
+                *out = delta_bytes;
+                decoded = delta_decoded;
+                delta = true;
+            }
+        }
+        Ok((decoded, delta))
+    }
 }
 
 impl TemporalSession {
@@ -216,7 +366,8 @@ impl TemporalSession {
 
     /// Backend-agnostic variant of [`TemporalSession::write`]: runs the
     /// rank collectives against an already-created writer and finishes
-    /// the container.
+    /// the container. A failed write leaves the session as it was: the
+    /// snapshot id is not used up and the reference is kept.
     pub fn write_to(&mut self, writer: Arc<H5Writer>, h: &AmrHierarchy) -> H5Result<WriteReport> {
         // Keyframe cadence: due snapshots drop the reference *before*
         // encoding, so the stream, chunk index, and `meta/temporal` all
@@ -224,186 +375,33 @@ impl TemporalSession {
         if self.keyframe_interval > 0 && self.since_keyframe >= self.keyframe_interval {
             self.reset_reference();
         }
-        self.since_keyframe += 1;
-        let nranks = h.level(0).data.distribution().nranks();
         let num_levels = h.num_levels();
         let nfields = h.field_names().len();
         let id = self.next_id;
-        let cfg = self.cfg;
-        let bf = self.bf;
-        let prev = self.prev.as_ref();
+        let prev_id = self.prev.as_ref().map(|p| p.id);
+        let scheme = TemporalScheme {
+            rel_eb: self.cfg.rel_eb,
+            prev_id,
+            prev: self.prev.as_ref().filter(|p| p.nfields == nfields),
+        };
+        let (report, per_rank) = write_amric_fields(&writer, h, self.bf, &scheme)?;
 
-        type RankOutcome = (IoLedger, f64, Vec<LevelOut>);
-        let per_rank: Vec<RankOutcome> = run_ranks(nranks, |comm| {
-            let rank = comm.rank();
-            let mut ledger = IoLedger::default();
-            let mut prep_s = 0.0;
-            let mut levels_out = Vec::with_capacity(num_levels);
-            for l in 0..num_levels {
-                let level = &h.level(l).data;
-                let finer =
-                    (l + 1 < num_levels).then(|| (h.level(l + 1).data.box_array(), h.ref_ratio(l)));
-                let unit = unit_edge_for_level(bf, l, num_levels);
-                let t0 = Instant::now();
-                let units = plan_units(level, finer, unit, rank, cfg.remove_redundancy);
-                let extent = plan_bounding_box(&units);
-                // Regrid-aware mapping: a unit delta-codes iff the same
-                // region existed in this rank's plan for this level last
-                // snapshot. Any level/layout change (refined away,
-                // coarsened, redistributed, re-truncated) misses the map
-                // and falls back to spatial coding.
-                let unit_refs: Vec<Option<u32>> = match prev {
-                    Some(p) if l < p.plans.len() && p.nfields == nfields => {
-                        let by_region: HashMap<_, u32> = p.plans[l][rank]
-                            .iter()
-                            .enumerate()
-                            .map(|(i, u)| (region_key(&u.region), i as u32))
-                            .collect();
-                        units
-                            .iter()
-                            .map(|u| by_region.get(&region_key(&u.region)).copied())
-                            .collect()
-                    }
-                    _ => vec![None; units.len()],
-                };
-                let any_mapped = unit_refs.iter().any(Option::is_some);
-                prep_s += t0.elapsed().as_secs_f64();
-                // Set iff any field stream of this (level, rank) actually
-                // shipped delta-coded bytes — the chunk index records the
-                // reference only then.
-                let mut any_delta = false;
-                let mut field_refs = Vec::with_capacity(nfields);
-                for f in 0..nfields {
-                    let t0 = Instant::now();
-                    let bufs = extract_units(level, &units, f);
-                    let staged_cells: usize = bufs.iter().map(|b| b.dims().len()).sum();
-                    prep_s += t0.elapsed().as_secs_f64();
-                    // Global REL bound and global chunk size, same
-                    // collective sequence as the AMRIC writer.
-                    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                    for b in &bufs {
-                        for &v in b.data() {
-                            lo = lo.min(v);
-                            hi = hi.max(v);
-                        }
-                    }
-                    let ranges = comm.allgather((lo, hi));
-                    let glo = ranges.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
-                    let ghi = ranges.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
-                    let range = if ghi > glo { ghi - glo } else { 0.0 };
-                    let abs_eb = sz_codec::quantizer::absolute_bound(cfg.rel_eb, range);
-                    let chunk_elems = comm.allreduce_max(staged_cells as u64) as usize;
-                    let tcfg = TemporalConfig {
-                        abs_eb,
-                        block_size: cfg.block_size,
-                    };
-                    let filter = TemporalFieldFilter {
-                        unit_edge: unit as usize,
-                    };
-                    let (frames, decoded) = if chunk_elems == 0 {
-                        (Vec::new(), Vec::new())
-                    } else {
-                        let t0 = Instant::now();
-                        // Size-aware mode choice: a surviving region only
-                        // proves the *layout* held still — violent dynamics
-                        // can make residuals cost more than re-coding the
-                        // field spatially. Encode both ways when a mapping
-                        // exists and ship the smaller stream, so temporal
-                        // output is never larger than spatial-only output.
-                        let mut bytes = Vec::new();
-                        let (_, mut decoded) = TemporalCodec::spatial(tcfg)
-                            .compress_with_state(&bufs, &mut bytes)
-                            .expect("temporal encode failed");
-                        if any_mapped {
-                            let delta = TemporalCodec::with_reference(
-                                tcfg,
-                                prev.expect("mapping implies prev").refs[l][rank][f].clone(),
-                                unit_refs.clone(),
-                            );
-                            let mut delta_bytes = Vec::new();
-                            let (_, delta_decoded) = delta
-                                .compress_with_state(&bufs, &mut delta_bytes)
-                                .expect("temporal encode failed");
-                            if delta_bytes.len() < bytes.len() {
-                                bytes = delta_bytes;
-                                decoded = delta_decoded;
-                                any_delta = true;
-                            }
-                        }
-                        let frame = EncodedFrame {
-                            bytes,
-                            logical_elems: staged_cells as u64,
-                            encode_seconds: t0.elapsed().as_secs_f64(),
-                        };
-                        (vec![frame], decoded)
-                    };
-                    let receipt = collective_write_frames(
-                        &comm,
-                        &writer,
-                        &field_dataset(l, f),
-                        Some(frames),
-                        chunk_elems.max(1),
-                        &filter,
-                        FilterMode::SizeAware,
-                    )
-                    .expect("collective write failed");
-                    fold_receipt(&mut ledger, &receipt);
-                    field_refs.push(Arc::new(TemporalReference::new(id, decoded)));
-                }
-                levels_out.push(LevelOut {
-                    extent,
-                    plan: units,
-                    any_delta,
-                    field_refs,
-                });
-            }
-            if rank == 0 {
-                write_metadata(&writer, h, &[bf as u64, u64::from(cfg.remove_redundancy)])
-                    .expect("metadata write failed");
-            }
-            comm.barrier();
-            (ledger, prep_s, levels_out)
-        });
-
-        // Transpose the rank outcomes into [level][rank] order.
-        let mut ledgers = Vec::with_capacity(nranks);
-        let mut prep_seconds = Vec::with_capacity(nranks);
-        let mut extents: Vec<Vec<Option<PlanExtent>>> = vec![Vec::new(); num_levels];
-        let mut deltas: Vec<Vec<bool>> = vec![Vec::new(); num_levels];
+        // Retain what a reader will reconstruct, in [level][rank] order.
         let mut plans: Vec<Vec<Vec<UnitRef>>> = vec![Vec::new(); num_levels];
         let mut refs: Vec<Vec<Vec<Arc<TemporalReference>>>> = vec![Vec::new(); num_levels];
-        for (ledger, prep, levels_out) in per_rank {
-            ledgers.push(ledger);
-            prep_seconds.push(prep);
-            for (l, out) in levels_out.into_iter().enumerate() {
-                extents[l].push(out.extent);
-                deltas[l].push(out.any_delta);
-                plans[l].push(out.plan);
-                refs[l].push(out.field_refs);
-            }
-        }
-
-        // Chunk index: codec id + extent per rank chunk, plus the
-        // reference snapshot id on chunks that delta-code.
-        let prev_id = prev.map(|p| p.id);
-        for l in 0..num_levels {
-            let entries: Vec<ChunkIndexEntry> = if extents[l].iter().all(Option::is_none) {
-                Vec::new()
-            } else {
-                extents[l]
-                    .iter()
-                    .zip(&deltas[l])
-                    .map(|(e, &delta)| {
-                        let entry = ChunkIndexEntry::new(CodecId::Temporal as u32, *e);
-                        match (delta, prev_id) {
-                            (true, Some(rid)) => entry.with_reference(rid),
-                            _ => entry,
-                        }
-                    })
-                    .collect()
-            };
-            for f in 0..nfields {
-                writer.set_chunk_index(&field_dataset(l, f), ChunkIndex::new(entries.clone()))?;
+        for levels in per_rank {
+            for (l, level) in levels.into_iter().enumerate() {
+                plans[l].push(level.plan);
+                refs[l].push(
+                    level
+                        .retained
+                        .into_iter()
+                        .map(|kept| {
+                            let decoded = kept.into_iter().next().map(|(d, _)| d);
+                            Arc::new(TemporalReference::new(id, decoded.unwrap_or_default()))
+                        })
+                        .collect(),
+                );
             }
         }
         // Whole-file temporal linkage (0 = no reference).
@@ -422,14 +420,8 @@ impl TemporalSession {
             refs,
         });
         self.next_id += 1;
-        let stored = ledgers.iter().map(|l| l.bytes_written).sum();
-        Ok(WriteReport {
-            nranks,
-            ledgers,
-            prep_seconds,
-            orig_bytes: h.snapshot_bytes(),
-            stored_bytes: stored,
-        })
+        self.since_keyframe += 1;
+        Ok(report)
     }
 }
 
@@ -528,12 +520,7 @@ pub fn read_temporal_hierarchy(
                     ))));
                 }
                 for (u, p) in units.iter().zip(plan) {
-                    let sz = p.region.size();
-                    let want = sz_codec::Dims3::new(
-                        sz.get(0) as usize,
-                        sz.get(1) as usize,
-                        sz.get(2) as usize,
-                    );
+                    let want = unit_dims(&p.region);
                     if u.dims() != want {
                         return Err(H5Error::Codec(CodecError::dims(format!(
                             "level {l} field {f} rank {rank}: unit dims {:?} != plan {want:?}",
@@ -541,7 +528,9 @@ pub fn read_temporal_hierarchy(
                         ))));
                     }
                 }
-                scatter_units_checked(&mut levels[l], plan, f, &units);
+                // Units are checked against the plan above, so the
+                // scatter's shape asserts cannot fire.
+                crate::preprocess::scatter_units(&mut levels[l], plan, f, &units);
                 rank_refs.push(Arc::new(TemporalReference::new(tmeta.snapshot_id, units)));
             }
             level_refs.push(rank_refs);
@@ -563,12 +552,6 @@ pub fn read_temporal_hierarchy(
             refs,
         },
     ))
-}
-
-/// `scatter_units` behind the dims validation above (units are already
-/// checked against the plan; this is just the paste).
-fn scatter_units_checked(level: &mut MultiFab, plan: &[UnitRef], field: usize, units: &[Buffer3]) {
-    crate::preprocess::scatter_units(level, plan, field, units);
 }
 
 #[cfg(test)]

@@ -8,18 +8,27 @@
 //! global chunk size is the max staged size over ranks (§3.3 Solution 2),
 //! and each rank contributes exactly one chunk whose *actual* length rides
 //! in the chunk metadata so no padding is ever compressed.
+//!
+//! Every snapshot writer — spatial, temporal and the AMReX baselines —
+//! runs on the one write driver in this module: a shared rank skeleton
+//! plus the AMRIC field loop of the spatial and temporal writers. Storage
+//! and codec failures come back as typed errors on every rank, in
+//! lockstep, and before the container is finished.
 
 use crate::config::AmricConfig;
 use crate::pipeline::{
     compress_field_units_resolved_into, compress_field_units_resolved_pooled,
     decompress_field_units, AmricScratch, ResolvedBound,
 };
-use crate::preprocess::{extract_units, plan_units, unit_edge_for_level};
+use crate::preprocess::{
+    extract_units, plan_bounding_box, plan_units, unit_edge_for_level, PlanExtent, UnitRef,
+};
 use amr_mesh::prelude::*;
 use h5lite::prelude::*;
 use rankpar::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
+use sz_codec::codec::CodecId;
 use sz_codec::CodecError;
 
 /// Filter id for the AMRIC application-defined filter (outside h5lite's
@@ -75,30 +84,6 @@ impl AmricFieldFilter {
             .map(|u| sz_codec::Buffer3::from_vec(sz_codec::Dims3::cube(self.unit_edge), u.to_vec()))
             .collect())
     }
-
-    /// [`ChunkFilter::encode_into`] with an **explicit** scratch pool —
-    /// the parallel engine's entry point, where every pool worker owns
-    /// its own [`AmricScratch`] instead of sharing the thread-local one.
-    /// The produced bytes are identical either way: compression depends
-    /// only on the chunk data and this filter's parameters, never on
-    /// scratch history (the scratch is cleared at entry).
-    pub fn encode_with_scratch(
-        &self,
-        chunk: &[f64],
-        scratch: &mut AmricScratch,
-        out: &mut Vec<u8>,
-    ) -> H5Result<()> {
-        let units = self.cut_units(chunk)?;
-        compress_field_units_resolved_into(
-            &units,
-            &self.cfg,
-            self.unit_edge,
-            self.bound,
-            scratch,
-            out,
-        );
-        Ok(())
-    }
 }
 
 impl ChunkFilter for AmricFieldFilter {
@@ -130,6 +115,53 @@ impl ChunkFilter for AmricFieldFilter {
         }
         out.truncate(n_elems);
         Ok(out)
+    }
+}
+
+/// The per-field encoder [`write_field_parallel`] runs on its pool
+/// workers, each with its own explicit [`AmricScratch`].
+pub trait FieldEncoder: Send + Sync {
+    /// What a chunk's encode hands back beside its bytes: the temporal
+    /// writer's decoded state; `()` for the spatial filter.
+    type Retained: Send;
+
+    /// The filter recorded for the dataset.
+    fn filter(&self) -> &dyn ChunkFilter;
+
+    /// Encode one staged chunk into the empty buffer `out`. The bytes
+    /// depend only on the chunk and the encoder, never on scratch
+    /// history, so parallel output is identical to serial.
+    fn encode_chunk(
+        &self,
+        chunk: &[f64],
+        scratch: &mut AmricScratch,
+        out: &mut Vec<u8>,
+    ) -> H5Result<Self::Retained>;
+}
+
+impl FieldEncoder for AmricFieldFilter {
+    type Retained = ();
+
+    fn filter(&self) -> &dyn ChunkFilter {
+        self
+    }
+
+    fn encode_chunk(
+        &self,
+        chunk: &[f64],
+        scratch: &mut AmricScratch,
+        out: &mut Vec<u8>,
+    ) -> H5Result<()> {
+        let units = self.cut_units(chunk)?;
+        compress_field_units_resolved_into(
+            &units,
+            &self.cfg,
+            self.unit_edge,
+            self.bound,
+            scratch,
+            out,
+        );
+        Ok(())
     }
 }
 
@@ -172,7 +204,7 @@ pub(crate) fn ints_to_f64(vals: impl IntoIterator<Item = u64>) -> Vec<f64> {
 
 /// Write hierarchy-structure metadata (domains, boxes, owners, field
 /// names) — the plotfile header AMReX also stores uncompressed.
-pub(crate) fn write_metadata(writer: &H5Writer, h: &AmrHierarchy, extra: &[u64]) -> H5Result<()> {
+fn write_metadata(writer: &H5Writer, h: &AmrHierarchy, extra: &[u64]) -> H5Result<()> {
     let nranks = h.level(0).data.distribution().nranks() as u64;
     let mut header: Vec<u64> = vec![h.num_levels() as u64, h.field_names().len() as u64, nranks];
     header.extend_from_slice(extra);
@@ -236,12 +268,12 @@ pub fn field_dataset(level: usize, field: usize) -> String {
 }
 
 /// One field's fully-staged write work for [`write_field_parallel`]: the
-/// rank's chunks, the resolved filter, and the collective chunk geometry.
+/// rank's chunks, the resolved encoder, and the collective chunk geometry.
 /// All metadata (global chunk size, absolute bound) is pre-computed, so
 /// compression can run on pool workers while earlier fields' collective
 /// writes are still in flight — the paper's one-pass write.
 #[derive(Clone, Debug)]
-pub struct FieldWriteJob {
+pub struct FieldWriteJob<E = AmricFieldFilter> {
     /// Dataset name (identical on every rank).
     pub name: String,
     /// This rank's chunks (the AMRIC layout stages exactly one per field;
@@ -249,8 +281,8 @@ pub struct FieldWriteJob {
     pub chunks: Vec<ChunkData>,
     /// Collective chunk size in elements (max over ranks, pre-agreed).
     pub chunk_elems: usize,
-    /// Resolved filter (global absolute bound baked in).
-    pub filter: AmricFieldFilter,
+    /// Resolved encoder (global absolute bound baked in).
+    pub filter: E,
     /// Standard vs size-aware filter semantics.
     pub mode: FilterMode,
 }
@@ -265,16 +297,17 @@ struct FieldEncodeScratch {
     pad: Vec<f64>,
 }
 
-/// Per-field accumulation while its frames stream to storage: the
-/// receipt under construction, the chunk records already on disk, and
-/// the batch of frames awaiting the next extent reservation.
-struct FieldProgress {
+/// Per-field accumulation while its frames stream to storage: receipt,
+/// records already on disk, the batch awaiting its extent, and what the
+/// encoder retained from each chunk.
+struct FieldProgress<R> {
     receipt: CollectiveReceipt,
     records: Vec<ChunkRecord>,
     batch: Vec<EncodedFrame>,
+    retained: Vec<R>,
 }
 
-impl FieldProgress {
+impl<R> FieldProgress<R> {
     fn new() -> Self {
         FieldProgress {
             receipt: CollectiveReceipt {
@@ -283,33 +316,16 @@ impl FieldProgress {
             },
             records: Vec::new(),
             batch: Vec::new(),
+            retained: Vec::new(),
         }
     }
 
-    fn chunks_done(&self) -> usize {
-        self.records.len() + self.batch.len()
+    /// Write the batched frames into one pre-reserved contiguous extent.
+    fn flush(&mut self, writer: &H5Writer) -> H5Result<()> {
+        let written = write_frame_extent(writer, &self.batch, &mut self.receipt, &mut self.records);
+        self.batch.clear();
+        written
     }
-}
-
-/// Write the batched frames into one pre-reserved contiguous extent,
-/// folding them into the field's records and receipt.
-fn flush_field_frames(writer: &H5Writer, progress: &mut FieldProgress) -> H5Result<()> {
-    if progress.batch.is_empty() {
-        return Ok(());
-    }
-    let plan = writer.reserve_extent(progress.batch.iter().map(|f| f.bytes.len() as u64));
-    for (frame, &offset) in progress.batch.iter().zip(&plan.offsets) {
-        writer.write_at(offset, &frame.bytes)?;
-        progress.receipt.write_calls += 1;
-        progress.receipt.bytes_written += frame.bytes.len() as u64;
-        progress.records.push(ChunkRecord {
-            offset,
-            stored_bytes: frame.bytes.len() as u64,
-            logical_elems: frame.logical_elems,
-        });
-    }
-    progress.batch.clear();
-    Ok(())
 }
 
 /// Batch-submission write API: compress every field's chunks on a
@@ -326,27 +342,31 @@ fn flush_field_frames(writer: &H5Writer, progress: &mut FieldProgress) -> H5Resu
 /// memory in flight is bounded by the batch plus the reassembly window
 /// regardless of how many chunks a field stages.
 ///
+/// Returns, per field, this rank's receipt and what the encoder retained
+/// from each of the rank's chunks.
+///
 /// Every rank must pass the same field list (names, `chunk_elems`,
-/// modes). The collective contract on errors: a rank whose compression
-/// fails keeps participating in the remaining fields' collectives with an
-/// abort vote, so peers fail together instead of deadlocking; the typed
-/// error surfaces on every rank.
-pub fn write_field_parallel(
+/// modes). The collective contract on errors: a rank whose compression or
+/// chunk write fails keeps participating in the remaining fields'
+/// collectives with an abort vote, so peers fail together instead of
+/// deadlocking; the typed error surfaces on every rank.
+pub fn write_field_parallel<E: FieldEncoder>(
     comm: &Communicator,
     writer: &H5Writer,
-    jobs: &[FieldWriteJob],
+    jobs: &[FieldWriteJob<E>],
     workers: usize,
-) -> H5Result<Vec<CollectiveReceipt>> {
+) -> H5Result<Vec<(CollectiveReceipt, Vec<E::Retained>)>> {
     // Flatten to (field, chunk) items so the pool load-balances across
-    // fields regardless of how many chunks each one stages.
+    // fields regardless of how many chunks each one stages. A zero-chunk
+    // field gets one empty item, so its collective runs in order too.
     let items: Vec<(usize, usize)> = jobs
         .iter()
         .enumerate()
-        .flat_map(|(f, j)| (0..j.chunks.len()).map(move |c| (f, c)))
+        .flat_map(|(f, j)| (0..j.chunks.len().max(1)).map(move |c| (f, c)))
         .collect();
 
     let batch_size = workers.max(2);
-    let mut receipts = Vec::with_capacity(jobs.len());
+    let mut committed = Vec::with_capacity(jobs.len());
     // `written` = number of fields whose collective has *occurred*
     // (successfully or as a joint abort); the error path below must keep
     // the remaining fields' collectives running to stay in lockstep.
@@ -361,96 +381,61 @@ pub fn write_field_parallel(
         FieldEncodeScratch::default,
         |state, _i, &(f, c)| {
             let job = &jobs[f];
+            let Some(chunk) = job.chunks.get(c) else {
+                return Ok(None);
+            };
             writer.count_filter_call();
             let t0 = Instant::now();
             let (data, logical_elems) =
-                staged_chunk(&job.chunks[c], job.chunk_elems, job.mode, &mut state.pad)?;
+                staged_chunk(chunk, job.chunk_elems, job.mode, &mut state.pad)?;
             let mut bytes = Vec::new();
-            job.filter
-                .encode_with_scratch(data, &mut state.scratch, &mut bytes)?;
-            Ok(EncodedFrame {
+            let retained = job
+                .filter
+                .encode_chunk(data, &mut state.scratch, &mut bytes)?;
+            let frame = EncodedFrame {
                 bytes,
                 logical_elems,
                 encode_seconds: t0.elapsed().as_secs_f64(),
-            })
+            };
+            Ok(Some((frame, retained)))
         },
-        |_i, frame| {
-            // Frames arrive in submission order, so this frame belongs to
-            // the first unwritten field that has chunks; commit any
-            // zero-chunk fields ahead of it first so `progress` never
-            // mixes fields.
-            while let Some(job) = jobs.get(written) {
-                if !job.chunks.is_empty() {
-                    break;
-                }
-                written += 1;
-                receipts.push(collective_finalize(
-                    comm,
-                    writer,
-                    &job.name,
-                    Vec::new(),
-                    job.chunk_elems,
-                    &job.filter,
-                    job.mode,
-                    None,
-                    FieldProgress::new().receipt,
-                )?);
-            }
+        |_i, encoded| {
+            // Items arrive in submission order, so this one belongs to the
+            // first unwritten field.
             let job = &jobs[written];
-            progress.receipt.filter_calls += 1;
-            progress.receipt.encode_seconds += frame.encode_seconds;
-            progress.batch.push(frame);
+            if let Some((frame, retained)) = encoded {
+                progress.receipt.filter_calls += 1;
+                progress.receipt.encode_seconds += frame.encode_seconds;
+                progress.batch.push(frame);
+                progress.retained.push(retained);
+            }
             // Stream batches to storage so resident frames stay bounded
             // by the batch, not the field's chunk count.
-            if progress.batch.len() >= batch_size {
-                flush_field_frames(writer, &mut progress)?;
+            let field_done = progress.retained.len() == job.chunks.len();
+            if field_done || progress.batch.len() >= batch_size {
+                progress.flush(writer)?;
             }
-            if progress.chunks_done() == job.chunks.len() {
-                flush_field_frames(writer, &mut progress)?;
+            if field_done {
                 let done = std::mem::replace(&mut progress, FieldProgress::new());
                 written += 1; // the collective happens now, success or not
-                receipts.push(collective_finalize(
+                let receipt = collective_finalize(
                     comm,
                     writer,
                     &job.name,
                     done.records,
                     job.chunk_elems,
-                    &job.filter,
+                    job.filter.filter(),
                     job.mode,
                     None,
                     done.receipt,
-                )?);
+                )?;
+                committed.push((receipt, done.retained));
             }
             Ok(())
         },
     );
 
-    let mut failure = pool_result.err();
-    if failure.is_none() {
-        // Trailing zero-chunk fields (or an entirely chunk-less level).
-        while written < jobs.len() && jobs[written].chunks.is_empty() {
-            let job = &jobs[written];
-            written += 1;
-            match collective_finalize(
-                comm,
-                writer,
-                &job.name,
-                Vec::new(),
-                job.chunk_elems,
-                &job.filter,
-                job.mode,
-                None,
-                FieldProgress::new().receipt,
-            ) {
-                Ok(r) => receipts.push(r),
-                Err(e) => {
-                    failure = Some(e);
-                    break;
-                }
-            }
-        }
-    }
-    if let Some(e) = failure {
+    if let Err(e) = pool_result {
         // Stay in lockstep: peers will run every remaining field's
         // collective, so this rank must too — with an abort vote.
         for job in &jobs[written..] {
@@ -460,14 +445,13 @@ pub fn write_field_parallel(
                 &job.name,
                 None,
                 job.chunk_elems,
-                &job.filter,
+                job.filter.filter(),
                 job.mode,
             );
         }
         return Err(e);
     }
-    debug_assert_eq!(written, jobs.len());
-    Ok(receipts)
+    Ok(committed)
 }
 
 /// Write one snapshot with the full AMRIC pipeline. Returns the per-rank
@@ -509,72 +493,222 @@ pub fn write_amric_to(
     cfg: &AmricConfig,
     bf: i64,
 ) -> H5Result<WriteReport> {
+    let (report, _) = write_amric_fields(&writer, h, bf, cfg)?;
+    writer.finish()?;
+    Ok(report)
+}
+
+/// One rank of a snapshot write, as the rank skeleton hands it to a
+/// writer's per-rank body.
+pub(crate) struct Rank {
+    pub comm: Communicator,
+    pub ledger: IoLedger,
+    /// Measured preparation seconds (planning, extraction, staging).
+    pub prep_s: f64,
+    /// First failed rank-0-only write, returned after the barrier.
+    deferred: Option<H5Error>,
+}
+
+impl Rank {
+    /// Run `f`, counting its time as preparation.
+    pub fn prep<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        let t0 = Instant::now();
+        let out = f();
+        self.prep_s += t0.elapsed().as_secs_f64();
+        out
+    }
+
+    /// A write only rank 0 makes. Its failure is returned after the
+    /// closing barrier, so rank 0 never leaves the collective sequence
+    /// early and no peer deadlocks.
+    pub fn on_root(&mut self, write: impl FnOnce() -> H5Result<()>) {
+        if self.comm.rank() == 0 {
+            if let Err(e) = write() {
+                self.deferred.get_or_insert(e);
+            }
+        }
+    }
+}
+
+/// The rank skeleton every snapshot writer runs on: each rank runs
+/// `body`, rank 0 writes the plotfile metadata (`meta/header` carrying
+/// `meta_extra`, field names, boxes), every rank meets the closing
+/// barrier, and the ranks' ledgers and prep times become the
+/// [`WriteReport`]. Returns it with the body outputs in rank order; the
+/// caller finishes the container.
+///
+/// `body` must fail in lockstep (collective abort votes). Of the ranks'
+/// errors, a rank's own cause wins over a peer's abort notice.
+pub(crate) fn write_ranks<T: Send>(
+    writer: &H5Writer,
+    h: &AmrHierarchy,
+    meta_extra: [u64; 2],
+    body: impl Fn(&mut Rank) -> H5Result<T> + Sync,
+) -> H5Result<(WriteReport, Vec<T>)> {
     let nranks = h.level(0).data.distribution().nranks();
+    let mut per_rank = run_ranks(nranks, |comm| {
+        let mut rank = Rank {
+            comm,
+            ledger: IoLedger::default(),
+            prep_s: 0.0,
+            deferred: None,
+        };
+        let out = body(&mut rank);
+        rank.on_root(|| write_metadata(writer, h, &meta_extra));
+        rank.comm.barrier();
+        match rank.deferred {
+            Some(e) => Err(e),
+            None => out.map(|out| (rank.ledger, rank.prep_s, out)),
+        }
+    });
+    // A rank's own error sorts before a peer's abort notice, and errors
+    // before results; the sort is stable, so success keeps rank order.
+    per_rank.sort_by_key(|r| match r {
+        Err(H5Error::PeerAborted) => 1,
+        Err(_) => 0,
+        Ok(_) => 2,
+    });
+    let ranks = per_rank.into_iter().collect::<H5Result<Vec<_>>>()?;
+    let ledgers: Vec<IoLedger> = ranks.iter().map(|r| r.0).collect();
+    let report = WriteReport {
+        nranks,
+        stored_bytes: ledgers.iter().map(|l| l.bytes_written).sum(),
+        ledgers,
+        prep_seconds: ranks.iter().map(|r| r.1).collect(),
+        orig_bytes: h.snapshot_bytes(),
+    };
+    Ok((report, ranks.into_iter().map(|r| r.2).collect()))
+}
+
+/// What a writer plugs into the AMRIC field loop: the spatial writer
+/// ([`AmricConfig`]) and the temporal session differ only here.
+pub(crate) trait FieldScheme: Sync {
+    /// Per-(rank, level) state, built during planning.
+    type Level;
+    type Encoder: FieldEncoder;
+    /// Envelope codec id the chunk index records.
+    const CODEC: CodecId;
+    fn remove_redundancy(&self) -> bool;
+    fn mode(&self) -> FilterMode;
+    fn workers(&self) -> usize;
+    fn level(&self, rank: usize, l: usize, units: &[UnitRef]) -> Self::Level;
+    /// Encoder of field `f`, its bound resolved against the global `range`.
+    fn encoder(&self, level: &Self::Level, f: usize, unit_edge: usize, range: f64)
+        -> Self::Encoder;
+    /// Snapshot id a rank's chunks on a level predict from, given what
+    /// its fields' encodes retained (`[field][chunk]`).
+    fn reference(&self, _retained: &[Vec<Retained<Self>>]) -> Option<u64> {
+        None
+    }
+}
+
+/// What a scheme's encoder retains per chunk.
+pub(crate) type Retained<S> = <<S as FieldScheme>::Encoder as FieldEncoder>::Retained;
+
+impl FieldScheme for AmricConfig {
+    type Level = ();
+    type Encoder = AmricFieldFilter;
+    const CODEC: CodecId = CodecId::AmricPipeline;
+
+    fn remove_redundancy(&self) -> bool {
+        self.remove_redundancy
+    }
+
+    fn mode(&self) -> FilterMode {
+        if self.size_aware_filter {
+            FilterMode::SizeAware
+        } else {
+            FilterMode::Standard
+        }
+    }
+
+    fn workers(&self) -> usize {
+        self.workers
+    }
+
+    fn level(&self, _rank: usize, _l: usize, _units: &[UnitRef]) {}
+
+    /// Constant (range-0) fields fall back to the raw relative value —
+    /// same contract as `resolve_abs_eb`, so quiet ranks get a
+    /// well-defined, non-degenerate bound. Under an adaptive policy both
+    /// tight and loose resolve against the same global range.
+    fn encoder(&self, _level: &(), _f: usize, unit_edge: usize, range: f64) -> AmricFieldFilter {
+        AmricFieldFilter {
+            cfg: *self,
+            unit_edge,
+            bound: ResolvedBound::from_policy(self.bound, self.rel_eb, range),
+        }
+    }
+}
+
+/// One rank's `[level]` results of the AMRIC field loop.
+pub(crate) type RankLevels<S> = Vec<LevelWrite<Retained<S>>>;
+
+/// Per-(rank, level) result of the AMRIC field loop.
+pub(crate) struct LevelWrite<R> {
+    /// Bounding box of the rank's units (the chunk-index extent).
+    pub extent: Option<PlanExtent>,
+    pub plan: Vec<UnitRef>,
+    /// `[field][chunk]`: what the encoder retained.
+    pub retained: Vec<Vec<R>>,
+}
+
+/// The AMRIC field loop (paper §3.3) on the rank skeleton: per level and
+/// field, stage the rank's units field-major, resolve the bound against
+/// the global range and size the global chunk to the largest rank; then
+/// encode and write the level's fields in order through
+/// [`write_field_parallel`]. Ends with each field's chunk index and
+/// returns the `[rank][level]` results; the caller finishes the container.
+pub(crate) fn write_amric_fields<S: FieldScheme>(
+    writer: &H5Writer,
+    h: &AmrHierarchy,
+    bf: i64,
+    scheme: &S,
+) -> H5Result<(WriteReport, Vec<RankLevels<S>>)> {
     let num_levels = h.num_levels();
     let nfields = h.field_names().len();
-
-    type RankOutcome = (IoLedger, f64, Vec<Option<crate::preprocess::PlanExtent>>);
-    let per_rank: Vec<RankOutcome> = run_ranks(nranks, |comm| {
-        let rank = comm.rank();
-        let mut ledger = IoLedger::default();
-        let mut prep_s = 0.0;
-        // Per-level bounding box of this rank's units — the extent the
-        // chunk index persists, collected here so the index costs no
-        // second planning pass.
-        let mut extents = Vec::with_capacity(num_levels);
+    let meta_extra = [bf as u64, u64::from(scheme.remove_redundancy())];
+    let (report, per_rank) = write_ranks(writer, h, meta_extra, |rank| {
+        let r = rank.comm.rank();
+        let mut levels = Vec::with_capacity(num_levels);
         for l in 0..num_levels {
             let level = &h.level(l).data;
             let finer =
                 (l + 1 < num_levels).then(|| (h.level(l + 1).data.box_array(), h.ref_ratio(l)));
             let unit = unit_edge_for_level(bf, l, num_levels);
-            let t0 = Instant::now();
-            let units = plan_units(level, finer, unit, rank, cfg.remove_redundancy);
-            extents.push(crate::preprocess::plan_bounding_box(&units));
-            prep_s += t0.elapsed().as_secs_f64();
-            // Pass 1 — stage every field and pre-compute the write
-            // metadata (global bound + global chunk size) in one
-            // deterministic collective sequence. With the metadata known
-            // up front, pass 2 can overlap compression with the writes
-            // (the paper's one-pass write).
+            let (plan, state) = rank.prep(|| {
+                let plan = plan_units(level, finer, unit, r, scheme.remove_redundancy());
+                let state = scheme.level(r, l, &plan);
+                (plan, state)
+            });
+            // Pass 1 — stage every field and agree on its write metadata
+            // (global bound + global chunk size) in one deterministic
+            // collective sequence. With the metadata known up front,
+            // pass 2 can overlap compression with the writes (the
+            // paper's one-pass write).
             let mut jobs = Vec::with_capacity(nfields);
             for f in 0..nfields {
                 // Stage field-major (§3.3 Solution 1): this rank's units of
                 // one field, concatenated.
-                let t0 = Instant::now();
-                let bufs = extract_units(level, &units, f);
-                let mut staged = Vec::with_capacity(bufs.iter().map(|b| b.dims().len()).sum());
-                for b in &bufs {
-                    staged.extend_from_slice(b.data());
-                }
-                prep_s += t0.elapsed().as_secs_f64();
-                // Resolve the relative bound against the field's global
-                // range on this level (allreduce over ranks).
-                let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                for &v in &staged {
-                    lo = lo.min(v);
-                    hi = hi.max(v);
-                }
-                let ranges = comm.allgather((lo, hi));
+                let staged = rank.prep(|| {
+                    let bufs = extract_units(level, &plan, f);
+                    let mut staged = Vec::with_capacity(bufs.iter().map(|b| b.dims().len()).sum());
+                    for b in &bufs {
+                        staged.extend_from_slice(b.data());
+                    }
+                    staged
+                });
+                let (lo, hi) = staged
+                    .iter()
+                    .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &v| {
+                        (lo.min(v), hi.max(v))
+                    });
+                let ranges = rank.comm.allgather((lo, hi));
                 let glo = ranges.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
                 let ghi = ranges.iter().map(|r| r.1).fold(f64::NEG_INFINITY, f64::max);
                 let range = if ghi > glo { ghi - glo } else { 0.0 };
-                // Constant (range-0) fields fall back to the raw relative
-                // value — same contract as `resolve_abs_eb`, so quiet
-                // ranks get a well-defined, non-degenerate bound. Under an
-                // adaptive policy both tight and loose resolve against the
-                // same global range.
-                let filter = AmricFieldFilter {
-                    cfg: *cfg,
-                    unit_edge: unit as usize,
-                    bound: ResolvedBound::from_policy(cfg.bound, cfg.rel_eb, range),
-                };
                 // Global chunk = biggest rank (§3.3 Solution 2).
-                let chunk_elems = comm.allreduce_max(staged.len() as u64) as usize;
-                let mode = if cfg.size_aware_filter {
-                    FilterMode::SizeAware
-                } else {
-                    FilterMode::Standard
-                };
+                let chunk_elems = rank.comm.allreduce_max(staged.len() as u64) as usize;
                 let chunks = if chunk_elems == 0 {
                     Vec::new()
                 } else {
@@ -584,74 +718,51 @@ pub fn write_amric_to(
                     name: field_dataset(l, f),
                     chunks,
                     chunk_elems: chunk_elems.max(1),
-                    filter,
-                    mode,
+                    filter: scheme.encoder(&state, f, unit as usize, range),
+                    mode: scheme.mode(),
                 });
             }
             // Pass 2 — compress on the rank-local pool, write in field
-            // order; serial when the config says so.
-            let receipts = write_field_parallel(&comm, &writer, &jobs, cfg.parallelism.workers())
-                .expect("collective write failed");
-            for receipt in &receipts {
-                fold_receipt(&mut ledger, receipt);
+            // order.
+            let fields = write_field_parallel(&rank.comm, writer, &jobs, scheme.workers())?;
+            let mut retained = Vec::with_capacity(nfields);
+            for (receipt, kept) in fields {
+                fold_receipt(&mut rank.ledger, &receipt);
+                retained.push(kept);
             }
+            levels.push(LevelWrite {
+                extent: plan_bounding_box(&plan),
+                plan,
+                retained,
+            });
         }
-        if rank == 0 {
-            write_metadata(&writer, h, &[bf as u64, u64::from(cfg.remove_redundancy)])
-                .expect("metadata write failed");
-        }
-        comm.barrier();
-        (ledger, prep_s, extents)
-    });
+        Ok(levels)
+    })?;
 
-    let rank_extents: Vec<&[Option<crate::preprocess::PlanExtent>]> =
-        per_rank.iter().map(|(_, _, e)| e.as_slice()).collect();
-    write_chunk_indexes(&writer, num_levels, nfields, &rank_extents)?;
-    writer.finish()?;
-    let (ledgers, prep_seconds): (Vec<IoLedger>, Vec<f64>) = per_rank
-        .iter()
-        .map(|(ledger, prep, _)| (*ledger, *prep))
-        .unzip();
-    let stored = ledgers.iter().map(|l| l.bytes_written).sum();
-    Ok(WriteReport {
-        nranks,
-        ledgers,
-        prep_seconds,
-        orig_bytes: h.snapshot_bytes(),
-        stored_bytes: stored,
-    })
-}
-
-/// Persist the per-dataset chunk index for every field dataset: one entry
-/// per rank chunk carrying the stream's codec id and the bounding box of
-/// the rank's surviving unit blocks on that level (`rank_extents[rank]
-/// [level]`, collected by the rank closures during planning — no second
-/// planning pass). The `amr-query` planner prunes chunks against a
-/// region of interest from these extents without decoding anything;
-/// files written before this index existed are still served through the
-/// reader's fallback scan.
-fn write_chunk_indexes(
-    writer: &H5Writer,
-    num_levels: usize,
-    nfields: usize,
-    rank_extents: &[&[Option<crate::preprocess::PlanExtent>]],
-) -> H5Result<()> {
+    // The chunk index lets the `amr-query` planner prune chunks against a
+    // region of interest without decoding anything.
     for l in 0..num_levels {
         // A level where no rank kept any cells registers zero chunks;
         // otherwise every rank contributed exactly one.
-        let entries: Vec<ChunkIndexEntry> = if rank_extents.iter().all(|e| e[l].is_none()) {
+        let entries: Vec<ChunkIndexEntry> = if per_rank.iter().all(|r| r[l].extent.is_none()) {
             Vec::new()
         } else {
-            rank_extents
+            per_rank
                 .iter()
-                .map(|e| ChunkIndexEntry::new(sz_codec::codec::CodecId::AmricPipeline as u32, e[l]))
+                .map(|r| {
+                    let entry = ChunkIndexEntry::new(S::CODEC as u32, r[l].extent);
+                    match scheme.reference(&r[l].retained) {
+                        Some(id) => entry.with_reference(id),
+                        None => entry,
+                    }
+                })
                 .collect()
         };
         for f in 0..nfields {
             writer.set_chunk_index(&field_dataset(l, f), ChunkIndex::new(entries.clone()))?;
         }
     }
-    Ok(())
+    Ok((report, per_rank))
 }
 
 /// Fold a collective receipt into a rank ledger (encode time counts as
@@ -851,9 +962,9 @@ mod tests {
         let (r1, a) = write(1);
         let (r4, b) = write(4);
         for (rs, rp) in r1.iter().zip(&r4) {
-            assert_eq!(rs[0].filter_calls, 11);
-            assert_eq!(rp[0].filter_calls, 11);
-            assert_eq!(rs[0].bytes_written, rp[0].bytes_written);
+            assert_eq!(rs[0].0.filter_calls, 11);
+            assert_eq!(rp[0].0.filter_calls, 11);
+            assert_eq!(rs[0].0.bytes_written, rp[0].0.bytes_written);
         }
         let (ma, mb) = (a.meta("many").unwrap(), b.meta("many").unwrap());
         assert_eq!(ma.chunks.len(), 22);
