@@ -7,6 +7,9 @@
 //! derive corrupt inputs from valid streams by truncation and byte
 //! flips; a panic anywhere fails the test by unwinding.
 
+#[path = "../../sz-codec/tests/support/capped_alloc.rs"]
+mod capped_alloc;
+
 use amr_apps::prelude::*;
 use amr_mesh::IntVect;
 use amric::config::AmricConfig;

@@ -30,6 +30,7 @@ pub struct HuffmanCode {
     /// (symbol, code length) for every used symbol, canonical order.
     lens: Vec<(u32, u32)>,
     /// Dense encode table indexed by symbol: (code, len); len = 0 = unused.
+    /// Empty for a code book read from a stream, which only decodes.
     encode: Vec<(u64, u32)>,
 }
 
@@ -41,18 +42,13 @@ impl HuffmanCode {
         let used: Vec<(u32, u64)> = freqs.iter().copied().filter(|&(_, c)| c > 0).collect();
         assert!(!used.is_empty(), "Huffman build with no symbols");
         let mut shift = 0u32;
-        loop {
+        let mut lens = loop {
             let lens = build_lengths(&used, shift);
             if lens.iter().all(|&(_, l)| l <= MAX_CODE_LEN) {
-                return Self::from_lengths(lens);
+                break lens;
             }
             shift += 4; // flatten frequencies and retry
-        }
-    }
-
-    /// Build from explicit (symbol, length) pairs (e.g. read from a
-    /// stream header). Lengths define canonical codes.
-    fn from_lengths(mut lens: Vec<(u32, u32)>) -> Self {
+        };
         // Canonical order: by (length, symbol).
         lens.sort_by_key(|&(s, l)| (l, s));
         let max_symbol = lens.iter().map(|&(s, _)| s).max().unwrap_or(0);
@@ -350,6 +346,8 @@ impl HuffmanCode {
     }
 
     /// Deserialize a code book written by [`HuffmanCode::write_table`].
+    /// The result decodes only; its allocations are bounded by the
+    /// table's length on the wire.
     pub fn read_table(r: &mut Reader<'_>) -> CodecResult<Self> {
         let n = r.get_u32()? as usize;
         if n == 0 {
@@ -366,7 +364,13 @@ impl HuffmanCode {
             }
             lens.push((s, l));
         }
-        Ok(Self::from_lengths(lens))
+        // Decode reads only the canonical lengths. No encode table is
+        // built: it would be sized by a symbol id read from the wire.
+        lens.sort_by_key(|&(s, l)| (l, s));
+        Ok(HuffmanCode {
+            lens,
+            encode: Vec::new(),
+        })
     }
 
     /// Number of distinct symbols.

@@ -11,6 +11,9 @@
 //! and re-wrap — so everything around the injected corruption stays
 //! wire-exact.
 
+#[path = "support/capped_alloc.rs"]
+mod capped_alloc;
+
 use sz_codec::buffer3::{Buffer3, Dims3};
 use sz_codec::codec::read_envelope;
 use sz_codec::error::CodecError;

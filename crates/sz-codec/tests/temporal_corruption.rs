@@ -6,6 +6,9 @@
 //! allocation. Forged reference ids and forged unit modes are crafted
 //! explicitly at the payload level, not just hoped for via random flips.
 
+#[path = "support/capped_alloc.rs"]
+mod capped_alloc;
+
 use std::sync::Arc;
 use sz_codec::codec::{write_envelope, FLAG_REFERENCED};
 use sz_codec::prelude::*;
