@@ -51,7 +51,6 @@
 pub mod baseline;
 pub mod codec;
 pub mod config;
-pub mod parallel;
 pub mod pipeline;
 pub mod preprocess;
 pub mod reader;
@@ -69,7 +68,6 @@ mod faulty_storage;
 
 pub use codec::{decompress_auto, default_registry};
 pub use config::{AmricConfig, BaselineConfig, BoundPolicy, MergePolicy};
-pub use parallel::compress_chunks_parallel;
 pub use pipeline::{stream_unit_bounds, ResolvedBound};
 
 /// Commonly used items.
@@ -79,7 +77,6 @@ pub mod prelude {
         decompress_auto, default_registry, AmricCodec, BaselineCodec, TacCodec, ZmeshCodec,
     };
     pub use crate::config::{AmricConfig, BaselineConfig, BoundPolicy, MergePolicy};
-    pub use crate::parallel::compress_chunks_parallel;
     pub use crate::pipeline::{
         compress_field_units, compress_field_units_resolved, compress_field_units_resolved_into,
         compress_field_units_resolved_pooled, compress_field_units_with_bound,

@@ -385,19 +385,15 @@ pub fn write_field_parallel<E: FieldEncoder>(
                 return Ok(None);
             };
             writer.count_filter_call();
-            let t0 = Instant::now();
-            let (data, logical_elems) =
-                staged_chunk(chunk, job.chunk_elems, job.mode, &mut state.pad)?;
-            let mut bytes = Vec::new();
-            let retained = job
-                .filter
-                .encode_chunk(data, &mut state.scratch, &mut bytes)?;
-            let frame = EncodedFrame {
-                bytes,
-                logical_elems,
-                encode_seconds: t0.elapsed().as_secs_f64(),
-            };
-            Ok(Some((frame, retained)))
+            let scratch = &mut state.scratch;
+            encode_frame(
+                chunk,
+                job.chunk_elems,
+                job.mode,
+                &mut state.pad,
+                |data, out| job.filter.encode_chunk(data, scratch, out),
+            )
+            .map(Some)
         },
         |_i, encoded| {
             // Items arrive in submission order, so this one belongs to the
@@ -437,16 +433,19 @@ pub fn write_field_parallel<E: FieldEncoder>(
 
     if let Err(e) = pool_result {
         // Stay in lockstep: peers will run every remaining field's
-        // collective, so this rank must too — with an abort vote.
+        // collective, so this rank must too — with no records and an
+        // abort vote (the vote's error value goes unread).
         for job in &jobs[written..] {
-            let _ = collective_write_frames(
+            let _ = collective_finalize(
                 comm,
                 writer,
                 &job.name,
-                None,
+                Vec::new(),
                 job.chunk_elems,
                 job.filter.filter(),
                 job.mode,
+                Some(H5Error::PeerAborted),
+                CollectiveReceipt::default(),
             );
         }
         return Err(e);

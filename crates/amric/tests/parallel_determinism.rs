@@ -1,17 +1,18 @@
-//! Determinism matrix for the parallel compression engine: for every
-//! codec family × worker count × chunk count, the pool's streams must be
-//! **byte-identical** to the serial `compress_into` path, and every
-//! stream must round-trip through `decompress_auto`.
+//! Determinism matrix for the intra-rank compression pool: for every
+//! codec family × worker count × chunk count, streams compressed on
+//! `rankpar::for_each_ordered` must be **byte-identical** to the serial
+//! `compress_into` path, and every stream must round-trip through
+//! `decompress_auto`.
 //!
 //! This is the invariant that makes the overlapped write path safe to
 //! ship: turning on `with_workers(n)` may change wall-clock, never bytes.
 
 use amr_mesh::prelude::IntVect;
 use amric::codec::{AmricCodec, BaselineCodec, TacCodec, ZmeshCodec};
-use amric::parallel::compress_chunks_parallel;
 use amric::prelude::*;
 use sz_codec::codec::Codec;
 use sz_codec::prelude::*;
+use sz_codec::{CodecError, CodecResult};
 
 /// Units per chunk — fixed because TAC/zMesh carry one origin per unit.
 const UNITS_PER_CHUNK: usize = 3;
@@ -41,6 +42,34 @@ fn origins() -> Vec<IntVect> {
     (0..UNITS_PER_CHUNK as i64)
         .map(|u| IntVect::new(u * EDGE as i64, 0, 0))
         .collect()
+}
+
+/// Compress each chunk through `codec` on a pool of `workers` threads,
+/// one stream per chunk in submission order — the field writer's pool
+/// with a bare codec as the job. The first error (in submission order)
+/// aborts the pool, which drains and returns it.
+fn compress_on_pool(
+    codec: &dyn Codec,
+    chunks: &[Vec<Buffer3>],
+    workers: usize,
+) -> CodecResult<Vec<Vec<u8>>> {
+    let mut streams = Vec::with_capacity(chunks.len());
+    rankpar::for_each_ordered(
+        chunks,
+        workers,
+        workers.max(1) * 2,
+        || (),
+        |_state, _i, units| {
+            let mut out = Vec::new();
+            codec.compress_into(units, &mut out)?;
+            Ok(out)
+        },
+        |_i, stream| {
+            streams.push(stream);
+            Ok(())
+        },
+    )?;
+    Ok(streams)
 }
 
 /// Every codec family in the workspace, behind the unified trait.
@@ -87,7 +116,7 @@ fn parallel_streams_are_byte_identical_to_serial() {
                     codec.compress_into(units, &mut out).unwrap();
                     serial.push(out);
                 }
-                let parallel = compress_chunks_parallel(codec.as_ref(), &chunks, workers).unwrap();
+                let parallel = compress_on_pool(codec.as_ref(), &chunks, workers).unwrap();
                 assert_eq!(
                     serial, parallel,
                     "{name}: workers={workers} chunks={nchunks} streams differ"
@@ -101,7 +130,7 @@ fn parallel_streams_are_byte_identical_to_serial() {
 fn parallel_streams_round_trip_through_decompress_auto() {
     for (name, codec) in families() {
         let chunks = make_chunks(9);
-        let streams = compress_chunks_parallel(codec.as_ref(), &chunks, 4).unwrap();
+        let streams = compress_on_pool(codec.as_ref(), &chunks, 4).unwrap();
         assert_eq!(streams.len(), chunks.len());
         for (c, (units, stream)) in chunks.iter().zip(&streams).enumerate() {
             let back = decompress_auto(stream)
@@ -129,9 +158,9 @@ fn repeated_parallel_runs_are_stable() {
     // scheduling (per-worker scratch leaves no history).
     let codec = AmricCodec::new(AmricConfig::lr(1e-3), EDGE);
     let chunks = make_chunks(11);
-    let first = compress_chunks_parallel(&codec, &chunks, 4).unwrap();
+    let first = compress_on_pool(&codec, &chunks, 4).unwrap();
     for _ in 0..5 {
-        let again = compress_chunks_parallel(&codec, &chunks, 4).unwrap();
+        let again = compress_on_pool(&codec, &chunks, 4).unwrap();
         assert_eq!(first, again);
     }
 }
@@ -142,9 +171,9 @@ fn worker_count_does_not_leak_into_stream_metadata() {
     // them: streams from every worker count decode identically.
     let codec = AmricCodec::new(AmricConfig::interp(1e-3), EDGE);
     let chunks = make_chunks(6);
-    let reference = compress_chunks_parallel(&codec, &chunks, 1).unwrap();
+    let reference = compress_on_pool(&codec, &chunks, 1).unwrap();
     for workers in [2, 4, 7] {
-        let streams = compress_chunks_parallel(&codec, &chunks, workers).unwrap();
+        let streams = compress_on_pool(&codec, &chunks, workers).unwrap();
         for (a, b) in reference.iter().zip(&streams) {
             assert_eq!(a, b);
             let ra = decompress_auto(a).unwrap();
@@ -155,4 +184,15 @@ fn worker_count_does_not_leak_into_stream_metadata() {
             }
         }
     }
+}
+
+#[test]
+fn error_surfaces_and_pool_drains() {
+    // TAC with a fixed origin count rejects mismatched chunks; inject
+    // one mid-batch.
+    let codec = TacCodec::new(1e-3, vec![IntVect::splat(0); UNITS_PER_CHUNK]);
+    let mut data = make_chunks(8);
+    data[5].pop(); // 2 units vs 3 origins → typed error
+    let err = compress_on_pool(&codec, &data, 4).unwrap_err();
+    assert!(matches!(err, CodecError::DimsMismatch { .. }), "{err:?}");
 }

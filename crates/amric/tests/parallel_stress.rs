@@ -205,33 +205,39 @@ fn repeated_overlapped_writes_under_contention() {
 
 #[test]
 fn pipelined_collective_failing_chunk_mid_batch() {
-    // The chunk-level pipelined collective (many chunks per rank): a
-    // non-unit-multiple chunk mid-batch aborts both ranks cleanly.
+    // Many chunks per rank in one field, more than a write batch holds:
+    // a non-unit-multiple chunk mid-field drains the pool, aborts the
+    // field's collective and the next field's on both ranks, and leaves
+    // neither registered.
     let path = tmp("pipelined-abort");
     let writer = Arc::new(H5Writer::create(&path).unwrap());
     let w = Arc::clone(&writer);
     let results = with_watchdog("pipelined abort", move || {
         run_ranks(2, move |comm| {
-            let mut chunks: Vec<ChunkData> = (0..12).map(good_chunk).collect();
-            if comm.rank() == 0 {
-                chunks[7] = ChunkData::full(vec![1.0; 63]); // mid-batch poison
-            }
-            collective_write_pipelined(
-                &comm,
-                &w,
-                "d",
-                &chunks,
-                128,
-                &filter(4),
-                FilterMode::SizeAware,
-                4,
-            )
+            let jobs: Vec<FieldWriteJob> = (0..2)
+                .map(|f| {
+                    let mut chunks: Vec<ChunkData> = (0..12).map(good_chunk).collect();
+                    if comm.rank() == 0 && f == 0 {
+                        chunks[7] = ChunkData::full(vec![1.0; 63]); // mid-batch poison
+                    }
+                    FieldWriteJob {
+                        name: format!("level_0/field_{f}"),
+                        chunks,
+                        chunk_elems: 128,
+                        filter: filter(4),
+                        mode: FilterMode::SizeAware,
+                    }
+                })
+                .collect();
+            write_field_parallel(&comm, &w, &jobs, 4)
         })
     });
     assert!(matches!(
         results[0].as_ref().unwrap_err().as_codec(),
         Some(CodecError::DimsMismatch { .. })
     ));
-    assert!(results[1].is_err());
+    assert!(matches!(results[1], Err(H5Error::PeerAborted)));
+    writer.finish().unwrap();
+    assert!(H5Reader::open(&path).unwrap().dataset_names().is_empty());
     std::fs::remove_file(&path).ok();
 }

@@ -152,6 +152,17 @@ fn spatial_case(case: &str, cfg: &AmricConfig) {
 #[test]
 fn spatial_lr() {
     spatial_case("spatial_lr", &AmricConfig::lr(1e-3));
+    // The pooled write stores the same description on every backend:
+    // offsets are left out, so the physical layout cannot show.
+    let pooled = AmricConfig::lr(1e-3).with_workers(4);
+    spatial_case("spatial_lr", &pooled);
+    let dir = TempDir::new("amric-writer-golden-sharded");
+    let path = dir.file("spatial_lr.h5ls");
+    let writer = H5Writer::create_sharded(&path, 3).unwrap();
+    let report = write_amric_to(Arc::new(writer), &hierarchy(), &pooled, 8).unwrap();
+    let r = H5Reader::open(&path).unwrap();
+    assert_eq!(r.storage_kind(), "sharded");
+    assert_golden("spatial_lr", &describe(&r, &report));
 }
 
 #[test]

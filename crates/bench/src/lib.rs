@@ -177,7 +177,7 @@ pub fn default_workers() -> usize {
 /// AMRIC(SZ_L/R) configuration with the harness-default write
 /// parallelism — what every figure/table binary should build instead of
 /// hardcoding the single-threaded preset, so writer-driven experiments
-/// pick up one consistent default. Note the `parallelism` field is read
+/// pick up one consistent default. Note the `workers` field is read
 /// only by the in-situ writer (`write_amric` and friends); the offline
 /// unit-compression studies (`compress_field_units`) are single-stream
 /// and ignore it.

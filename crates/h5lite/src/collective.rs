@@ -10,7 +10,7 @@
 
 use crate::dataset::{ChunkRecord, DatasetMeta};
 use crate::error::{H5Error, H5Result};
-use crate::file::{encode_chunk, ChunkData, H5Writer};
+use crate::file::{ChunkData, H5Writer};
 use crate::filter::{encode_frame, ChunkFilter, EncodedFrame, FilterMode};
 use rankpar::Communicator;
 
@@ -46,41 +46,17 @@ pub fn collective_write(
         dataset_creates: 1,
         ..Default::default()
     };
-    // Encode and write chunk by chunk, reusing one scratch pair across the
-    // whole collective call — the per-chunk hot path allocates no fresh
-    // output `Vec` (the §3.3 writer encodes one chunk per rank per
-    // (level, field); the baseline path pushes hundreds through here).
-    let mut pad = Vec::new();
-    let mut encoded = Vec::new();
     let mut my_records = Vec::with_capacity(my_chunks.len());
-    let mut failure: Option<H5Error> = None;
-    for chunk in my_chunks {
-        writer.count_filter_call();
-        receipt.filter_calls += 1;
-        let t0 = std::time::Instant::now();
-        let result = encode_chunk(chunk, chunk_elems, filter, mode, &mut pad, &mut encoded);
-        receipt.encode_seconds += t0.elapsed().as_secs_f64();
-        let logical = match result {
-            Ok(l) => l,
-            Err(e) => {
-                failure = Some(e);
-                break;
-            }
-        };
-        let offset = writer.reserve(encoded.len() as u64);
-        if let Err(e) = writer.write_at(offset, &encoded) {
-            failure = Some(e);
-            break;
-        }
-        receipt.write_calls += 1;
-        receipt.bytes_written += encoded.len() as u64;
-        my_records.push(ChunkRecord {
-            offset,
-            stored_bytes: encoded.len() as u64,
-            logical_elems: logical,
-        });
-    }
-
+    let failure = write_chunks(
+        writer,
+        my_chunks,
+        chunk_elems,
+        filter,
+        mode,
+        &mut receipt,
+        &mut my_records,
+    )
+    .err();
     collective_finalize(
         comm,
         writer,
@@ -94,6 +70,32 @@ pub fn collective_write(
     )
 }
 
+/// Encode and write `chunks` one at a time, each frame in its own
+/// extent, so one encoded frame is in memory at a time. Shared by
+/// [`collective_write`] and [`H5Writer::write_dataset_chunks`]; the first
+/// failed encode or write stops the loop.
+pub(crate) fn write_chunks(
+    writer: &H5Writer,
+    chunks: &[ChunkData],
+    chunk_elems: usize,
+    filter: &dyn ChunkFilter,
+    mode: FilterMode,
+    receipt: &mut CollectiveReceipt,
+    records: &mut Vec<ChunkRecord>,
+) -> H5Result<()> {
+    let mut pad = Vec::new();
+    for chunk in chunks {
+        writer.count_filter_call();
+        receipt.filter_calls += 1;
+        let (frame, ()) = encode_frame(chunk, chunk_elems, mode, &mut pad, |data, out| {
+            filter.encode_into(data, out)
+        })?;
+        receipt.encode_seconds += frame.encode_seconds;
+        write_frame_extent(writer, std::slice::from_ref(&frame), receipt, records)?;
+    }
+    Ok(())
+}
+
 /// The shared tail of every collective write: agree on success, gather
 /// chunk records in rank order, register the dataset on rank 0.
 ///
@@ -101,7 +103,9 @@ pub fn collective_write(
 /// (the overlapped field writer) can commit the dataset once per rank
 /// from the records alone. Every rank must call this exactly once per
 /// dataset, in the same order; `failure: Some(_)` is the abort vote —
-/// the write never registers and every rank returns `Err`.
+/// the write never registers and every rank returns `Err`. A rank that
+/// failed before a dataset's write calls this with no records and an
+/// abort vote, so its peers fail with it instead of deadlocking.
 ///
 /// The agreement runs before the records gather so a rank whose encode
 /// failed must not abandon its peers inside a barrier (the communicator
@@ -151,147 +155,30 @@ pub fn collective_finalize(
 
 /// Write a batch of encoded frames into one contiguous extent: a single
 /// atomic reservation sized from the frames (the one-pass write of the
-/// paper's §3.3), then positioned writes in frame order. Each written
-/// frame's [`ChunkRecord`] is appended to `records` and its write counted
-/// in `receipt`; the first failed write stops the batch. Every collective
-/// write path that streams pre-encoded frames goes through here.
+/// paper's §3.3: sizes are known before any byte lands), then positioned
+/// writes in frame order. Each written frame's [`ChunkRecord`] is
+/// appended to `records` and its write counted in `receipt`; the first
+/// failed write stops the batch. Every chunk write goes through here.
 pub fn write_frame_extent(
     writer: &H5Writer,
     frames: &[EncodedFrame],
     receipt: &mut CollectiveReceipt,
     records: &mut Vec<ChunkRecord>,
 ) -> H5Result<()> {
-    let plan = writer.reserve_extent(frames.iter().map(|f| f.bytes.len() as u64));
-    for (frame, &offset) in frames.iter().zip(&plan.offsets) {
+    let mut offset = writer.reserve(frames.iter().map(|f| f.bytes.len() as u64).sum());
+    for frame in frames {
+        let stored_bytes = frame.bytes.len() as u64;
         writer.write_at(offset, &frame.bytes)?;
         receipt.write_calls += 1;
-        receipt.bytes_written += frame.bytes.len() as u64;
+        receipt.bytes_written += stored_bytes;
         records.push(ChunkRecord {
             offset,
-            stored_bytes: frame.bytes.len() as u64,
+            stored_bytes,
             logical_elems: frame.logical_elems,
         });
+        offset += stored_bytes;
     }
     Ok(())
-}
-
-/// Collectively write one dataset from **pre-encoded** frames — the write
-/// stage of the overlapped pipeline, where compression already happened
-/// on the pool workers.
-///
-/// `my_frames: None` signals that this rank failed to produce its frames
-/// (its compression error travels separately); the rank still
-/// participates in every collective step so peers abort in lockstep
-/// instead of deadlocking, and every rank returns `Err`.
-///
-/// Because all frame sizes are known up front, the rank's frames land in
-/// **one contiguous pre-reserved extent** (a single atomic reservation —
-/// the paper's one-pass write against its compress-then-rewrite
-/// two-pass).
-pub fn collective_write_frames(
-    comm: &Communicator,
-    writer: &H5Writer,
-    name: &str,
-    my_frames: Option<Vec<EncodedFrame>>,
-    chunk_elems: usize,
-    filter: &dyn ChunkFilter,
-    mode: FilterMode,
-) -> H5Result<CollectiveReceipt> {
-    let mut receipt = CollectiveReceipt {
-        dataset_creates: 1,
-        ..Default::default()
-    };
-    let mut my_records = Vec::new();
-    let failure = match &my_frames {
-        Some(frames) => {
-            receipt.filter_calls = frames.len() as u64;
-            receipt.encode_seconds = frames.iter().map(|f| f.encode_seconds).sum();
-            write_frame_extent(writer, frames, &mut receipt, &mut my_records).err()
-        }
-        None => Some(H5Error::Format(
-            "collective write aborted: this rank failed to encode its frames".into(),
-        )),
-    };
-    collective_finalize(
-        comm,
-        writer,
-        name,
-        my_records,
-        chunk_elems,
-        filter,
-        mode,
-        failure,
-        receipt,
-    )
-}
-
-/// Collectively write one dataset with the chunk compression running on a
-/// rank-local worker pool, overlapped with the writes: while batch `k`'s
-/// frames stream to storage (one pre-reserved extent per batch), the
-/// workers are already compressing batch `k + 1`. The reassembly window
-/// (2 batches) is the double buffer — and the backpressure bound on
-/// frames held in memory.
-///
-/// Output is byte-identical to [`collective_write`]: frames are encoded
-/// per chunk with the same filter and assembled in submission order.
-/// With `workers <= 1` this *is* [`collective_write`].
-#[allow(clippy::too_many_arguments)]
-pub fn collective_write_pipelined(
-    comm: &Communicator,
-    writer: &H5Writer,
-    name: &str,
-    my_chunks: &[ChunkData],
-    chunk_elems: usize,
-    filter: &dyn ChunkFilter,
-    mode: FilterMode,
-    workers: usize,
-) -> H5Result<CollectiveReceipt> {
-    if workers <= 1 {
-        return collective_write(comm, writer, name, my_chunks, chunk_elems, filter, mode);
-    }
-    let mut receipt = CollectiveReceipt {
-        dataset_creates: 1,
-        ..Default::default()
-    };
-    let mut my_records: Vec<ChunkRecord> = Vec::new();
-    let batch_size = workers.max(2);
-    let mut batch: Vec<EncodedFrame> = Vec::with_capacity(batch_size);
-
-    let pool_result: Result<(), H5Error> = rankpar::pool::for_each_ordered(
-        my_chunks,
-        workers,
-        2 * batch_size,
-        Vec::new, // per-worker padding buffer
-        |pad: &mut Vec<f64>, _i, chunk| {
-            writer.count_filter_call();
-            encode_frame(chunk, chunk_elems, filter, mode, pad)
-        },
-        |_i, frame| {
-            receipt.filter_calls += 1;
-            receipt.encode_seconds += frame.encode_seconds;
-            batch.push(frame);
-            if batch.len() < batch_size {
-                return Ok(());
-            }
-            let written = write_frame_extent(writer, &batch, &mut receipt, &mut my_records);
-            batch.clear();
-            written
-        },
-    );
-    let failure = pool_result
-        .and_then(|()| write_frame_extent(writer, &batch, &mut receipt, &mut my_records))
-        .err();
-    collective_finalize(
-        comm,
-        writer,
-        name,
-        my_records,
-        chunk_elems,
-        filter,
-        mode,
-        failure,
-        receipt,
-    )
 }
 
 #[cfg(test)]
@@ -390,168 +277,127 @@ mod tests {
 
     #[test]
     fn failing_rank_aborts_collective_without_deadlock() {
-        // One rank's chunk is invalid (larger than the chunk size): every
-        // rank must return Err — the failing rank its encode error, the
-        // peers an abort notice — instead of hanging in the record gather.
-        let (writer, _mem) = mem_writer();
+        // One rank's second chunk is invalid (larger than the chunk size):
+        // every rank must return Err — the failing rank its encode error,
+        // the peers an abort notice — instead of hanging in the record
+        // gather, and nothing registers.
+        let (writer, mem) = mem_writer();
         let w = Arc::clone(&writer);
         let results = run_ranks(2, move |comm| {
-            let n = if comm.rank() == 1 { 512 } else { 64 }; // 512 > chunk 64
-            let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
-            collective_write(
-                &comm,
-                &w,
-                "d",
-                &[ChunkData::full(data)],
-                64,
-                &NoFilter,
-                FilterMode::Standard,
-            )
+            let mut chunks = vec![ChunkData::full((0..64).map(|i| i as f64).collect()); 3];
+            if comm.rank() == 1 {
+                // 512 elems exceed the chunk size of 64.
+                chunks[1] = ChunkData::full((0..512).map(|i| i as f64).collect());
+            }
+            collective_write(&comm, &w, "d", &chunks, 64, &NoFilter, FilterMode::Standard)
         });
-        for (rank, r) in results.iter().enumerate() {
-            assert!(r.is_err(), "rank {rank} must see the collective failure");
-        }
-    }
-
-    #[test]
-    fn pipelined_write_matches_serial_bytes() {
-        // The overlapped path must store byte-identical chunks (offsets
-        // may differ; stored bytes and logical counts may not).
-        let chunk_data: Vec<Vec<f64>> = (0..13)
-            .map(|c| {
-                (0..192)
-                    .map(|i| ((c * 192 + i) as f64 * 0.013).sin() * (c + 1) as f64)
-                    .collect()
-            })
-            .collect();
-        let chunks: Vec<ChunkData> = chunk_data.into_iter().map(ChunkData::full).collect();
-        let f = SzFilter::one_dimensional(1e-3);
-        let write = |workers: usize| {
-            let (writer, mem) = mem_writer();
-            let w = Arc::clone(&writer);
-            let chunks = chunks.clone();
-            run_ranks(2, move |comm| {
-                collective_write_pipelined(
-                    &comm,
-                    &w,
-                    "d",
-                    &chunks,
-                    192,
-                    &f,
-                    FilterMode::SizeAware,
-                    workers,
-                )
-                .unwrap()
-            });
-            writer.finish().unwrap();
-            open(mem)
-        };
-        let rs = write(1);
-        let rp = write(4);
-        let (ms, mp) = (rs.meta("d").unwrap(), rp.meta("d").unwrap());
-        assert_eq!(ms.chunks.len(), mp.chunks.len());
-        for i in 0..ms.chunks.len() {
-            assert_eq!(
-                rs.read_chunk_raw("d", i).unwrap(),
-                rp.read_chunk_raw("d", i).unwrap(),
-                "chunk {i} bytes differ between serial and parallel"
-            );
-            assert_eq!(ms.chunks[i].logical_elems, mp.chunks[i].logical_elems);
-        }
-        assert_eq!(rs.read_dataset("d").unwrap(), rp.read_dataset("d").unwrap());
+        assert!(matches!(results[0], Err(H5Error::PeerAborted)));
+        assert!(matches!(results[1], Err(H5Error::Format(_))));
+        writer.finish().unwrap();
+        assert!(open(mem).dataset_names().is_empty());
     }
 
     #[test]
     fn frames_path_writes_preencoded_chunks() {
+        // Pre-encoded frames land contiguously in one extent per rank,
+        // then commit through the shared tail.
         let (writer, mem) = mem_writer();
         let w = Arc::clone(&writer);
         let receipts = run_ranks(2, move |comm| {
             let rank = comm.rank();
-            let data: Vec<f64> = (0..64).map(|i| (rank * 100 + i) as f64).collect();
             let f = NoFilter;
-            let frame = crate::filter::encode_frame(
-                &ChunkData::full(data),
-                64,
-                &f,
-                FilterMode::SizeAware,
-                &mut Vec::new(),
-            )
-            .unwrap();
-            collective_write_frames(
+            let frames: Vec<EncodedFrame> = (0..2)
+                .map(|c| {
+                    let data: Vec<f64> =
+                        (0..64).map(|i| (rank * 100 + c * 10 + i) as f64).collect();
+                    let chunk = ChunkData::full(data);
+                    encode_frame(
+                        &chunk,
+                        64,
+                        FilterMode::SizeAware,
+                        &mut Vec::new(),
+                        |d, o| f.encode_into(d, o),
+                    )
+                    .unwrap()
+                    .0
+                })
+                .collect();
+            let mut receipt = CollectiveReceipt {
+                filter_calls: 2,
+                dataset_creates: 1,
+                ..Default::default()
+            };
+            let mut records = Vec::new();
+            write_frame_extent(&w, &frames, &mut receipt, &mut records).unwrap();
+            assert_eq!(records[1].offset, records[0].offset + 64 * 8);
+            collective_finalize(
                 &comm,
                 &w,
                 "d",
-                Some(vec![frame]),
+                records,
                 64,
                 &f,
                 FilterMode::SizeAware,
+                None,
+                receipt,
             )
             .unwrap()
         });
         writer.finish().unwrap();
         for r in &receipts {
-            assert_eq!(r.filter_calls, 1);
-            assert_eq!(r.write_calls, 1);
+            assert_eq!(r.filter_calls, 2);
+            assert_eq!(r.write_calls, 2);
+            assert_eq!(r.bytes_written, 2 * 64 * 8);
         }
         let r = open(mem);
         let all = r.read_dataset("d").unwrap();
-        assert_eq!(all.len(), 128);
-        assert_eq!(all[64], 100.0);
+        assert_eq!(all.len(), 256);
+        assert_eq!(all[64], 10.0);
+        assert_eq!(all[128], 100.0);
     }
 
     #[test]
     fn frames_path_none_aborts_all_ranks_without_deadlock() {
-        let (writer, _mem) = mem_writer();
+        // The field writer's abort protocol: a rank that already failed
+        // finalizes with no records and an abort vote; every rank fails
+        // and the dataset never registers.
+        let (writer, mem) = mem_writer();
         let w = Arc::clone(&writer);
         let results = run_ranks(3, move |comm| {
-            let frames = if comm.rank() == 1 {
-                None // this rank's compression "failed"
+            let mut receipt = CollectiveReceipt::default();
+            let mut records = Vec::new();
+            let vote = if comm.rank() == 1 {
+                Some(H5Error::PeerAborted) // this rank's compression "failed"
             } else {
                 let data: Vec<f64> = (0..16).map(|i| i as f64).collect();
-                Some(vec![crate::filter::encode_frame(
-                    &ChunkData::full(data),
+                write_chunks(
+                    &w,
+                    &[ChunkData::full(data)],
                     16,
                     &NoFilter,
                     FilterMode::SizeAware,
-                    &mut Vec::new(),
+                    &mut receipt,
+                    &mut records,
                 )
-                .unwrap()])
+                .err()
             };
-            collective_write_frames(&comm, &w, "d", frames, 16, &NoFilter, FilterMode::SizeAware)
+            collective_finalize(
+                &comm,
+                &w,
+                "d",
+                records,
+                16,
+                &NoFilter,
+                FilterMode::SizeAware,
+                vote,
+                receipt,
+            )
         });
         for (rank, r) in results.iter().enumerate() {
             assert!(r.is_err(), "rank {rank} must see the abort");
         }
-    }
-
-    #[test]
-    fn pipelined_failing_chunk_aborts_collective() {
-        // One rank's mid-batch chunk exceeds the chunk size: the pool must
-        // drain, and every rank must return Err.
-        let (writer, _mem) = mem_writer();
-        let w = Arc::clone(&writer);
-        let results = run_ranks(2, move |comm| {
-            let mut chunks: Vec<ChunkData> = (0..8)
-                .map(|c| ChunkData::full((0..32).map(|i| (c * 32 + i) as f64).collect()))
-                .collect();
-            if comm.rank() == 1 {
-                // 64 > chunk size 32, injected mid-batch.
-                chunks[4] = ChunkData::full((0..64).map(|i| i as f64).collect());
-            }
-            collective_write_pipelined(
-                &comm,
-                &w,
-                "d",
-                &chunks,
-                32,
-                &NoFilter,
-                FilterMode::Standard,
-                4,
-            )
-        });
-        for (rank, r) in results.iter().enumerate() {
-            assert!(r.is_err(), "rank {rank} must see the collective failure");
-        }
+        writer.finish().unwrap();
+        assert!(open(mem).dataset_names().is_empty());
     }
 
     #[test]

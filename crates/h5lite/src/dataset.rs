@@ -4,20 +4,6 @@ use crate::error::{H5Error, H5Result};
 use crate::filter::FilterMode;
 use sz_codec::wire::{Reader, Writer};
 
-/// One contiguous byte extent pre-reserved for a batch of frames whose
-/// sizes were computed before the write (the paper's one-pass write:
-/// compress first, then reserve the exact extent once and stream the
-/// frames out while the next batch compresses).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExtentPlan {
-    /// File offset where the extent starts.
-    pub base: u64,
-    /// Absolute file offset of each frame, in frame order.
-    pub offsets: Vec<u64>,
-    /// Total reserved bytes (`sum(sizes)`).
-    pub total_bytes: u64,
-}
-
 /// Location and shape of one stored chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkRecord {

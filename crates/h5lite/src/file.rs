@@ -15,6 +15,7 @@
 //! the in-memory and sharded backends carry the same logical byte stream
 //! over different physical layouts.
 
+use crate::collective::CollectiveReceipt;
 use crate::dataset::{ChunkRecord, DatasetMeta};
 use crate::error::{H5Error, H5Result};
 use crate::filter::{decoder_for, ChunkFilter, FilterMode};
@@ -125,29 +126,6 @@ impl H5Writer {
         self.storage.reserve(bytes)
     }
 
-    /// Reserve one contiguous extent for a batch of frames with known
-    /// sizes (the one-pass write of AMRIC §3.3: sizes are known before
-    /// any byte lands, so the whole batch costs a single atomic
-    /// reservation and lands contiguously). Returns the per-frame
-    /// absolute offsets.
-    pub fn reserve_extent(&self, sizes: impl IntoIterator<Item = u64>) -> crate::ExtentPlan {
-        let mut offsets = Vec::new();
-        let mut total = 0u64;
-        for s in sizes {
-            offsets.push(total);
-            total += s;
-        }
-        let base = self.reserve(total);
-        for o in &mut offsets {
-            *o += base;
-        }
-        crate::ExtentPlan {
-            base,
-            offsets,
-            total_bytes: total,
-        }
-    }
-
     /// Write raw bytes at a reserved offset.
     pub fn write_at(&self, offset: u64, bytes: &[u8]) -> H5Result<()> {
         self.storage.write_at(offset, bytes)?;
@@ -223,22 +201,15 @@ impl H5Writer {
         total_override: Option<u64>,
     ) -> H5Result<()> {
         let mut records = Vec::with_capacity(chunks.len());
-        // One scratch pair reused across every chunk of the dataset: the
-        // padded-values staging and the encoded output buffer.
-        let mut pad = Vec::new();
-        let mut encoded = Vec::new();
-        for chunk in chunks {
-            let logical_elems =
-                encode_chunk(chunk, chunk_elems, filter, mode, &mut pad, &mut encoded)?;
-            self.count_filter_call();
-            let offset = self.reserve(encoded.len() as u64);
-            self.write_at(offset, &encoded)?;
-            records.push(ChunkRecord {
-                offset,
-                stored_bytes: encoded.len() as u64,
-                logical_elems,
-            });
-        }
+        crate::collective::write_chunks(
+            self,
+            chunks,
+            chunk_elems,
+            filter,
+            mode,
+            &mut CollectiveReceipt::default(),
+            &mut records,
+        )?;
         let total = total_override.unwrap_or_else(|| records.iter().map(|r| r.logical_elems).sum());
         self.register_dataset(DatasetMeta {
             name: name.to_string(),
@@ -320,23 +291,6 @@ impl H5Writer {
         self.storage.finalize()?;
         Ok(dir_offset + bytes.len() as u64)
     }
-}
-
-/// Apply mode semantics and run the filter, writing the encoded bytes
-/// into `out` (cleared first; `pad` is the reusable padding staging
-/// buffer). Returns the logical element count to record.
-pub(crate) fn encode_chunk(
-    chunk: &ChunkData,
-    chunk_elems: usize,
-    filter: &dyn ChunkFilter,
-    mode: FilterMode,
-    pad: &mut Vec<f64>,
-    out: &mut Vec<u8>,
-) -> H5Result<u64> {
-    out.clear();
-    let (data, logical) = crate::filter::staged_chunk(chunk, chunk_elems, mode, pad)?;
-    filter.encode_into(data, out)?;
-    Ok(logical)
 }
 
 /// Parsed container tail: directory entries, aligned chunk indexes, and

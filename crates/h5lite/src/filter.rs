@@ -74,9 +74,12 @@ pub trait ChunkFilter: Send + Sync {
     fn decode(&self, bytes: &[u8], n_elems: usize) -> H5Result<Vec<f64>>;
 }
 
-/// One chunk's encoded bytes plus the metadata the collective write path
-/// records for it — the unit of work the parallel compression engine
-/// hands from workers to the ordered reassembly stage.
+/// One chunk's encoded bytes plus the metadata its [`ChunkRecord`] needs
+/// — the unit [`write_frame_extent`] writes, and the unit the field
+/// writer's pool hands from its workers to the ordered write stage.
+///
+/// [`ChunkRecord`]: crate::ChunkRecord
+/// [`write_frame_extent`]: crate::collective::write_frame_extent
 #[derive(Clone, Debug)]
 pub struct EncodedFrame {
     /// Filter output for this chunk.
@@ -84,16 +87,15 @@ pub struct EncodedFrame {
     /// Meaningful element count the frame decodes to (chunk size in
     /// standard mode, the actual data size in size-aware mode).
     pub logical_elems: u64,
-    /// Seconds spent inside the filter encode for this frame.
+    /// Seconds spent staging and encoding this frame.
     pub encode_seconds: f64,
 }
 
 /// Resolve which values of `chunk` the filter may see under `mode`, and
 /// the logical element count to record. Standard mode zero-pads short
 /// chunks to `chunk_elems` (into the reusable `pad` buffer); size-aware
-/// mode exposes only the logical prefix. Shared by the serial encode path
-/// and the parallel frame encoders so mode semantics cannot drift.
-pub fn staged_chunk<'a>(
+/// mode exposes only the logical prefix.
+fn staged_chunk<'a>(
     chunk: &'a ChunkData,
     chunk_elems: usize,
     mode: FilterMode,
@@ -127,25 +129,30 @@ pub fn staged_chunk<'a>(
     }
 }
 
-/// Encode one chunk into an owned [`EncodedFrame`] — the job body of the
-/// chunk-level parallel write pipeline. `pad` is the worker's reusable
-/// padding buffer.
-pub fn encode_frame(
+/// Encode one chunk into an owned [`EncodedFrame`]: stage the values the
+/// filter may see under `mode`, then run `encode` on them into the
+/// frame's empty byte buffer, timing both. The one encode step of every
+/// chunk write, so mode semantics cannot drift between writers: plain
+/// writers pass a [`ChunkFilter::encode_into`], the field writer its own
+/// encoder, whose extra output `R` comes back beside the frame. `pad` is
+/// the caller's reusable padding buffer.
+pub fn encode_frame<R>(
     chunk: &ChunkData,
     chunk_elems: usize,
-    filter: &dyn ChunkFilter,
     mode: FilterMode,
     pad: &mut Vec<f64>,
-) -> H5Result<EncodedFrame> {
+    encode: impl FnOnce(&[f64], &mut Vec<u8>) -> H5Result<R>,
+) -> H5Result<(EncodedFrame, R)> {
     let t0 = std::time::Instant::now();
     let (data, logical_elems) = staged_chunk(chunk, chunk_elems, mode, pad)?;
     let mut bytes = Vec::new();
-    filter.encode_into(data, &mut bytes)?;
-    Ok(EncodedFrame {
+    let extra = encode(data, &mut bytes)?;
+    let frame = EncodedFrame {
         bytes,
         logical_elems,
         encode_seconds: t0.elapsed().as_secs_f64(),
-    })
+    };
+    Ok((frame, extra))
 }
 
 /// Identity filter: raw little-endian f64 bytes.

@@ -36,7 +36,7 @@ pub mod sharded;
 pub mod storage;
 pub mod testutil;
 
-pub use dataset::{ChunkRecord, DatasetMeta, ExtentPlan};
+pub use dataset::{ChunkRecord, DatasetMeta};
 pub use error::{H5Error, H5Result};
 pub use file::{
     strip_chunk_indexes, strip_chunk_indexes_in, ChunkData, H5Reader, H5Writer, WriteStats,
@@ -49,14 +49,13 @@ pub use storage::{open_storage, open_storage_rw, FileStorage, MemStorage, Storag
 /// Commonly used items.
 pub mod prelude {
     pub use crate::collective::{
-        collective_finalize, collective_write, collective_write_frames, collective_write_pipelined,
-        write_frame_extent, CollectiveReceipt,
+        collective_finalize, collective_write, write_frame_extent, CollectiveReceipt,
     };
-    pub use crate::dataset::{ChunkRecord, DatasetMeta, ExtentPlan};
+    pub use crate::dataset::{ChunkRecord, DatasetMeta};
     pub use crate::error::{H5Error, H5Result};
     pub use crate::file::{strip_chunk_indexes, ChunkData, H5Reader, H5Writer, WriteStats};
     pub use crate::filter::{
-        encode_frame, staged_chunk, ChunkFilter, EncodedFrame, FilterMode, NoFilter, SzFilter,
+        encode_frame, ChunkFilter, EncodedFrame, FilterMode, NoFilter, SzFilter,
     };
     pub use crate::index::{ChunkIndex, ChunkIndexEntry, CODEC_RAW};
     pub use crate::sharded::{is_sharded, read_manifest, ShardManifest, ShardedStorage};

@@ -1,8 +1,8 @@
 //! Backend-equivalence suite: the same write sequence through
 //! file/mem/sharded storage must yield byte-identical **logical** content
 //! — same dataset directory, same stored chunk bytes, same chunk
-//! indexes — for every filter family, for parallel rank writers at 1 and
-//! 4 pool workers, and for both indexed and (stripped) legacy tails.
+//! indexes — for every filter family, for parallel rank writers, and for
+//! both indexed and (stripped) legacy tails.
 //!
 //! Physical layouts differ (one file vs N shard files + manifest); the
 //! logical byte stream and everything parsed from it may not.
@@ -136,9 +136,9 @@ fn serial_write_identical_across_backends_indexed_and_legacy() {
 }
 
 #[test]
-fn collective_write_identical_across_backends_and_worker_counts() {
-    // 4 rank threads, pipelined pool at 1 and 4 workers, both filter
-    // families — all backends, all combinations, one logical content.
+fn collective_write_identical_across_backends() {
+    // 4 rank threads, both filter families — all backends, one logical
+    // content.
     let chunkset = |rank: usize| -> Vec<ChunkData> {
         (0..5)
             .map(|c| {
@@ -150,48 +150,35 @@ fn collective_write_identical_across_backends_and_worker_counts() {
             })
             .collect()
     };
-    for workers in [1usize, 4] {
-        let dir = TempDir::new("h5lite-eq-coll");
-        let built = backends(&dir, &format!("w{workers}"));
-        let readers: Vec<(&str, H5Reader)> = built
-            .into_iter()
-            .map(|(kind, w, open)| {
-                let writer = Arc::new(w);
-                let wc = Arc::clone(&writer);
-                run_ranks(4, move |comm| {
-                    let chunks = chunkset(comm.rank());
-                    let f = SzFilter::one_dimensional(1e-3);
-                    collective_write_pipelined(
-                        &comm,
-                        &wc,
-                        "sz",
-                        &chunks,
-                        192,
-                        &f,
-                        FilterMode::SizeAware,
-                        workers,
-                    )
+    let dir = TempDir::new("h5lite-eq-coll");
+    let readers: Vec<(&str, H5Reader)> = backends(&dir, "coll")
+        .into_iter()
+        .map(|(kind, w, open)| {
+            let writer = Arc::new(w);
+            let wc = Arc::clone(&writer);
+            run_ranks(4, move |comm| {
+                let chunks = chunkset(comm.rank());
+                let f = SzFilter::one_dimensional(1e-3);
+                collective_write(&comm, &wc, "sz", &chunks, 192, &f, FilterMode::SizeAware)
                     .unwrap();
-                    let raw = chunkset(comm.rank());
-                    collective_write(
-                        &comm,
-                        &wc,
-                        "raw",
-                        &raw,
-                        192,
-                        &NoFilter,
-                        FilterMode::Standard,
-                    )
-                    .unwrap();
-                });
-                writer.finish().unwrap();
-                (kind, open())
-            })
-            .collect();
-        let (_, base) = &readers[0];
-        for (kind, r) in &readers[1..] {
-            assert_logically_identical(base, r, &format!("workers={workers} file vs {kind}"));
-        }
+                collective_write(
+                    &comm,
+                    &wc,
+                    "raw",
+                    &chunks,
+                    192,
+                    &NoFilter,
+                    FilterMode::Standard,
+                )
+                .unwrap();
+            });
+            writer.finish().unwrap();
+            (kind, open())
+        })
+        .collect();
+    let (_, base) = &readers[0];
+    for (kind, r) in &readers[1..] {
+        assert_logically_identical(base, r, &format!("file vs {kind}"));
     }
 }
 

@@ -3,7 +3,12 @@
 //! The AMRIC write path (paper §3.3) hides compression cost inside the
 //! I/O phase: while one chunk's bytes are on their way to storage, the
 //! next chunks are already being compressed. This module provides the
-//! rank-local engine that makes that overlap possible:
+//! rank-local engine that makes that overlap possible. It has two
+//! callers: the AMRIC field writer (`amric::writer::write_field_parallel`,
+//! which compresses a level's field chunks here and writes them in
+//! order) and the `amr-query` chunk prefetch (which decodes cache misses
+//! here). The plain collective and serial writers of `h5lite` encode
+//! inline and do not use it.
 //!
 //! * [`Reassembly`] — a bounded, ordered reassembly queue. Workers
 //!   deposit finished frames under their submission index (in any
